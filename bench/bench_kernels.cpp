@@ -21,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/kernel_engine.h"
 #include "common/thread_pool.h"
 #include "ec/bn254_groups.h"
 #include "ec/glv.h"
@@ -126,14 +125,8 @@ int main() {
       const std::vector<Fr> ks(scalars.begin(), scalars.begin() + n);
       const int reps = log_n <= 12 ? 5 : 3;
       G1 expect, got;
-      const double textbook_s = median_seconds(reps, [&] {
-        ScopedKernelEngine off(false);
-        expect = multiexp(pts, ks);
-      });
-      const double kernel_s = median_seconds(reps, [&] {
-        ScopedKernelEngine on(true);
-        got = multiexp(pts, ks);
-      });
+      const double textbook_s = median_seconds(reps, [&] { expect = multiexp_textbook(pts, ks); });
+      const double kernel_s = median_seconds(reps, [&] { got = multiexp(pts, ks); });
       if (!(expect == got)) {
         std::fprintf(stderr, "FATAL: multiexp kernel disagrees with textbook at n=%zu\n", n);
         return 1;
@@ -163,12 +156,10 @@ int main() {
       const int reps = log_n <= 13 ? 9 : 5;
       std::vector<Fr> a = input, b = input;
       const double textbook_s = median_seconds(reps, [&] {
-        ScopedKernelEngine off(false);
         a = input;
-        domain.fft(a);
+        domain.fft_textbook(a);
       });
       const double kernel_s = median_seconds(reps, [&] {
-        ScopedKernelEngine on(true);
         b = input;
         domain.fft(b);
       });
@@ -211,13 +202,12 @@ int main() {
     for (unsigned w = 2; w < hardware_threads; w *= 2) widths.push_back(w);
     widths.push_back(hardware_threads);
 
-    std::printf("\nThread scaling at n=2^14 (seconds; kernel engine on)\n%8s %12s %12s\n",
+    std::printf("\nThread scaling at n=2^14 (seconds)\n%8s %12s %12s\n",
                 "threads", "multiexp", "fft");
     G1 multiexp_baseline = G1::infinity();
     std::vector<Fr> fft_baseline;
     for (const unsigned w : widths) {
       set_num_threads(w);
-      ScopedKernelEngine on(true);
       G1 acc_me = G1::infinity();
       const double me_s = median_seconds(3, [&] { acc_me = multiexp(pts, ks); });
       std::vector<Fr> fft_out;

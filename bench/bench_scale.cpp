@@ -87,14 +87,19 @@ class MicrotaskContract : public Contract {
   }
 
   void restore_state(const Bytes& state) override {
-    std::size_t off = 0;
-    task_id_ = read_frame(state, off);
-    const std::uint32_t n = read_u32_be(state, off);
-    off += 4;
-    entries_.clear();
-    entries_.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) entries_.push_back(read_frame(state, off));
-    if (off != state.size()) throw std::invalid_argument("microtask: trailing snapshot data");
+    // An entry is a 20-byte address plus a 32-byte keccak digest.
+    constexpr std::size_t kMaxTaskIdBytes = 256;
+    constexpr std::size_t kEntryBytes = Address::kSize + 32;
+    constexpr std::uint32_t kMaxEntries = 1u << 20;
+    ByteReader in(state, "microtask state");
+    Bytes task_id = in.frame(kMaxTaskIdBytes);
+    const std::uint32_t n = in.count(kMaxEntries);
+    std::vector<Bytes> entries;
+    entries.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) entries.push_back(in.frame(kEntryBytes));
+    in.expect_end();
+    task_id_ = std::move(task_id);
+    entries_ = std::move(entries);
   }
 
   std::size_t entry_count() const { return entries_.size(); }

@@ -41,8 +41,8 @@ CircuitBuilder build_tag_circuit(std::uint32_t p, std::uint32_t m,
   // proof; a production circuit would expose all eight).
   const Wire w_p = b.input(Fr::from_u64(p));
   const Wire w_m = b.input(Fr::from_u64(m));
-  const Wire w_t1 = b.input(Fr::from_u64(read_u32_be(t1, 0)));
-  const Wire w_t2 = b.input(Fr::from_u64(read_u32_be(t2, 0)));
+  const Wire w_t1 = b.input(Fr::from_u64(ByteReader(t1).u32()));
+  const Wire w_t2 = b.input(Fr::from_u64(ByteReader(t2).u32()));
 
   std::vector<WordWires> sk_wires;
   for (const std::uint32_t w : sk) sk_wires.push_back(word_witness(b, w));

@@ -52,13 +52,13 @@ ClassicCertificate ClassicRegistrationAuthority::certify(const std::string& iden
   if (identities_.contains(identity)) {
     throw std::invalid_argument("ClassicRA: identity already registered");
   }
-  const std::string key_id = to_hex(pk.to_bytes());
-  if (keys_.contains(key_id)) {
+  const Bytes pk_bytes = pk.to_bytes();
+  if (keys_.contains(pk_bytes)) {
     throw std::invalid_argument("ClassicRA: public key already certified");
   }
   identities_.insert(identity);
-  keys_.insert(key_id);
-  return ClassicCertificate{rsa_sign(master_, pk.to_bytes())};
+  keys_.insert(pk_bytes);
+  return ClassicCertificate{rsa_sign(master_, pk_bytes)};
 }
 
 ClassicAttestation classic_authenticate(const Bytes& prefix, const Bytes& rest,

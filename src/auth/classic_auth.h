@@ -11,6 +11,7 @@
 // Linkability is trivial — the public key IS the identity — which is
 // exactly the privilege the anonymous mode buys back.
 
+#include <set>
 #include <string>
 #include <unordered_set>
 
@@ -56,7 +57,7 @@ class ClassicRegistrationAuthority {
  private:
   RsaKeyPair master_;
   std::unordered_set<std::string> identities_;
-  std::unordered_set<std::string> keys_;
+  std::set<Bytes> keys_;  // certified public keys, serialized
 };
 
 /// Sign prefix||rest under the user key and attach the certificate.

@@ -89,13 +89,13 @@ Certificate RegistrationAuthority::register_identity(const std::string& identity
   if (identities_.contains(identity)) {
     throw std::invalid_argument("RA: identity already registered");
   }
-  const std::string pk_hex = to_hex(pk.to_bytes());
-  if (keys_.contains(pk_hex)) {
+  const Bytes pk_bytes = pk.to_bytes();
+  if (keys_.contains(pk_bytes)) {
     throw std::invalid_argument("RA: public key already certified");
   }
   const std::size_t index = tree_.append(pk);
   identities_[identity] = index;
-  keys_[pk_hex] = index;
+  keys_[pk_bytes] = index;
   return current_certificate(index);
 }
 

@@ -20,6 +20,7 @@
 // root. The anonymity is irrevocable even by the RA — the RA learns pk at
 // registration but attestations reveal only PRF tags and a zk proof.
 
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -107,7 +108,7 @@ class RegistrationAuthority {
  private:
   MerkleTree tree_;
   std::unordered_map<std::string, std::size_t> identities_;
-  std::unordered_map<std::string, std::size_t> keys_;  // pk hex -> leaf
+  std::map<Bytes, std::size_t> keys_;  // pk bytes -> leaf
 };
 
 /// Auth: attest to message prefix||rest under a certified key. Throws

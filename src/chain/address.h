@@ -51,6 +51,8 @@ class Address {
   auto operator<=>(const Address&) const = default;
 
  private:
+  friend struct std::hash<Address>;
+
   std::array<std::uint8_t, kSize> bytes_;
 };
 
@@ -59,9 +61,6 @@ class Address {
 template <>
 struct std::hash<zl::chain::Address> {
   std::size_t operator()(const zl::chain::Address& a) const noexcept {
-    const zl::Bytes b = a.to_bytes();
-    std::size_t h = 1469598103934665603ull;
-    for (const auto c : b) h = (h ^ c) * 1099511628211ull;
-    return h;
+    return zl::fnv1a(a.bytes_.data(), a.bytes_.size());
   }
 };

@@ -17,10 +17,10 @@ namespace {
 //   frame(ChainState::snapshot_bytes)
 //   u32 n_receipts | n x (frame(tx hash) | u64 block_no | frame(receipt))
 //
-// Receipts are emitted in std::map order (hex tx hash), so the encoding is
+// Receipts are emitted in std::map order (tx hash), so the encoding is
 // deterministic and usable as a state fingerprint in tests.
 
-using ReceiptMap = std::map<std::string, std::pair<Receipt, std::uint64_t>>;
+using ReceiptMap = std::map<Hash32, std::pair<Receipt, std::uint64_t>>;
 
 std::optional<Bytes> encode_checkpoint(const ChainState& state, const ReceiptMap& receipts) {
   std::optional<Bytes> state_bytes = state.snapshot_bytes();
@@ -28,8 +28,8 @@ std::optional<Bytes> encode_checkpoint(const ChainState& state, const ReceiptMap
   Bytes out;
   append_frame(out, *state_bytes);
   append_u32_be(out, static_cast<std::uint32_t>(receipts.size()));
-  for (const auto& [tx_hex, entry] : receipts) {
-    append_frame(out, from_hex(tx_hex));
+  for (const auto& [tx_hash, entry] : receipts) {
+    append_frame(out, Bytes(tx_hash.begin(), tx_hash.end()));
     append_u64_be(out, entry.second);
     append_frame(out, entry.first.to_bytes());
   }
@@ -52,10 +52,10 @@ void decode_checkpoint(const Bytes& payload, ChainState& state, ReceiptMap& rece
   receipts.clear();
   const std::uint32_t n = r.count(kMaxReceipts);
   for (std::uint32_t i = 0; i < n; ++i) {
-    const Bytes tx_hash = r.frame(kMaxHashBytes);
+    const Hash32 tx_hash = to_hash32(r.frame(kMaxHashBytes));
     const std::uint64_t block_no = r.u64();
     const Receipt receipt = Receipt::from_bytes(r.frame(kMaxReceiptBytes));
-    receipts[to_hex(tx_hash)] = {receipt, block_no};
+    receipts[tx_hash] = {receipt, block_no};
   }
   r.expect_end();
 }
@@ -80,7 +80,7 @@ Blockchain::Blockchain(const GenesisConfig& genesis, const store::OpenOptions& s
     : genesis_(genesis), storage_(storage) {
   const Block g = genesis.build();
   head_hash_ = g.hash();
-  blocks_[key(head_hash_)] = Entry{g, 0, false};
+  blocks_[to_hash32(head_hash_)] = Entry{g, 0, false};
   for (const auto& [addr, amount] : genesis_.allocations) state_.credit(addr, amount);
   if (storage_.durable()) open_durable();
 }
@@ -116,9 +116,8 @@ void Blockchain::open_durable() {
   // Phase 3: seed state from the newest intact snapshot, if it names a block
   // we actually have. Anything it doesn't cover is replayed by fork choice.
   if (const std::optional<store::Snapshot> snap = snapshots_->load_newest()) {
-    const auto it = blocks_.find(key(snap->head_hash));
-    if (it != blocks_.end() && !it->second.invalid &&
-        it->second.block.header.number == snap->height) {
+    const Entry* entry = find_by_hash(blocks_, snap->head_hash);
+    if (entry != nullptr && !entry->invalid && entry->block.header.number == snap->height) {
       try {
         ChainState restored;
         ReceiptMap restored_receipts;
@@ -126,7 +125,7 @@ void Blockchain::open_durable() {
         state_ = std::move(restored);
         receipts_ = std::move(restored_receipts);
         head_hash_ = snap->head_hash;
-        checkpoints_[key(snap->head_hash)] = Checkpoint{snap->height, snap->payload};
+        checkpoints_[to_hash32(snap->head_hash)] = Checkpoint{snap->height, snap->payload};
       } catch (const std::exception&) {
         // Undecodable payload (e.g. contract type from a different build):
         // ignore the snapshot and replay the journal from genesis.
@@ -139,21 +138,22 @@ void Blockchain::open_durable() {
   choose_best_tip();
 }
 
-const Block& Blockchain::head() const { return blocks_.at(key(head_hash_)).block; }
+const Block& Blockchain::head() const { return blocks_.at(to_hash32(head_hash_)).block; }
 
 bool Blockchain::insert_block(const Block& block, Bytes* hash_out) {
   const Bytes hash = block.hash();
-  if (blocks_.contains(key(hash))) return false;
-  const auto parent_it = blocks_.find(key(block.header.parent_hash));
-  if (parent_it == blocks_.end() || parent_it->second.invalid) return false;
-  if (block.header.number != parent_it->second.block.header.number + 1) return false;
+  const Hash32 key = to_hash32(hash);
+  if (blocks_.contains(key)) return false;
+  const Entry* parent = find_by_hash(blocks_, block.header.parent_hash);
+  if (parent == nullptr || parent->invalid) return false;
+  if (block.header.number != parent->block.header.number + 1) return false;
   if (block.header.difficulty != genesis_.difficulty) return false;
   if (!block.well_formed()) return false;
 
   Entry entry;
   entry.block = block;
-  entry.total_difficulty = parent_it->second.total_difficulty + block.header.difficulty;
-  blocks_[key(hash)] = std::move(entry);
+  entry.total_difficulty = parent->total_difficulty + block.header.difficulty;
+  blocks_[key] = std::move(entry);
   if (hash_out != nullptr) *hash_out = hash;
   return true;
 }
@@ -174,25 +174,22 @@ bool Blockchain::add_block(const Block& block) {
 
 void Blockchain::choose_best_tip() {
   for (;;) {
-    // Highest total difficulty among valid blocks; ties broken by hash for
-    // network-wide determinism.
-    const Entry* best = nullptr;
-    Bytes best_hash;
-    for (const auto& [k, entry] : blocks_) {
-      if (entry.invalid) continue;
-      const Bytes h = entry.block.hash();
-      if (best == nullptr || entry.total_difficulty > best->total_difficulty ||
-          (entry.total_difficulty == best->total_difficulty && to_hex(h) < to_hex(best_hash))) {
-        best = &entry;
-        best_hash = h;
+    // Highest total difficulty among valid blocks; ties go to the lowest
+    // hash for network-wide determinism. blocks_ iterates in ascending hash
+    // order, so keeping the first of equally heavy entries does exactly that.
+    auto best = blocks_.end();
+    for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
+      if (it->second.invalid) continue;
+      if (best == blocks_.end() || it->second.total_difficulty > best->second.total_difficulty) {
+        best = it;
       }
     }
-    if (best_hash == head_hash_) return;
+    const Hash32 head = to_hash32(head_hash_);
+    if (best->first == head) return;
     // Fast path: the new tip extends the current head — apply just the new
     // block instead of replaying the whole chain.
-    const Entry& best_entry = blocks_.at(key(best_hash));
-    if (best_entry.block.header.parent_hash == head_hash_) {
-      const Block& block = best_entry.block;
+    const Block& block = best->second.block;
+    if (block.header.parent_hash == head_hash_) {
       // Fan the expensive pure checks (signatures, snark proofs) out on the
       // thread pool; the sequential applies below then hit warm memo caches.
       prevalidate_block(state_, block.transactions);
@@ -201,26 +198,27 @@ void Blockchain::choose_best_tip() {
       for (const Transaction& tx : block.transactions) {
         try {
           Receipt r = state_.apply_transaction(tx, block.header.number, block.header.miner);
-          receipts_[key(tx.hash())] = {std::move(r), block.header.number};
-          confirmed.push_back(HeadEvent{key(tx.hash()), true});
+          const Hash32 tx_hash = to_hash32(tx.hash());
+          receipts_[tx_hash] = {std::move(r), block.header.number};
+          confirmed.push_back(HeadEvent{tx_hash, true});
         } catch (const std::invalid_argument&) {
           ok = false;
           break;
         }
       }
       if (ok) {
-        head_hash_ = best_hash;
+        head_hash_.assign(best->first.begin(), best->first.end());
         append_head_events(std::move(confirmed));
         maybe_checkpoint();
         return;
       }
       // Partial application dirtied the state: blacklist and rebuild the
       // previous canonical branch from scratch.
-      blocks_.at(key(best_hash)).invalid = true;
-      adopt_branch(head_hash_);
+      best->second.invalid = true;
+      adopt_branch(head);
       continue;
     }
-    if (adopt_branch(best_hash)) {
+    if (adopt_branch(best->first)) {
       maybe_checkpoint();
       return;
     }
@@ -228,21 +226,21 @@ void Blockchain::choose_best_tip() {
   }
 }
 
-bool Blockchain::adopt_branch(const Bytes& tip_hash) {
+bool Blockchain::adopt_branch(const Hash32& tip_hash) {
   // Walk the branch back from the tip until we hit a cached checkpoint (or
   // genesis); only the gap gets replayed.
-  std::vector<const Block*> branch;
-  Bytes cursor = tip_hash;
+  std::vector<std::pair<Hash32, Entry*>> branch;
+  Hash32 cursor = tip_hash;
   const Bytes* base_payload = nullptr;
   while (true) {
-    if (const auto cp = checkpoints_.find(key(cursor)); cp != checkpoints_.end()) {
+    if (const auto cp = checkpoints_.find(cursor); cp != checkpoints_.end()) {
       base_payload = &cp->second.payload;
       break;
     }
-    const Entry& entry = blocks_.at(key(cursor));
-    branch.push_back(&entry.block);
+    Entry& entry = blocks_.at(cursor);
+    branch.emplace_back(cursor, &entry);
     if (entry.block.header.number == 0) break;
-    cursor = entry.block.header.parent_hash;
+    cursor = to_hash32(entry.block.header.parent_hash);
   }
 
   ChainState fresh;
@@ -254,15 +252,16 @@ bool Blockchain::adopt_branch(const Bytes& tip_hash) {
   }
   const std::uint64_t interval = storage_.snapshot_interval;
   for (auto it = branch.rbegin(); it != branch.rend(); ++it) {
-    const Block& block = **it;
+    const auto& [hash, entry] = *it;
+    const Block& block = entry->block;
     if (block.header.number == 0) continue;
     prevalidate_block(fresh, block.transactions);
     for (const Transaction& tx : block.transactions) {
       try {
         Receipt r = fresh.apply_transaction(tx, block.header.number, block.header.miner);
-        fresh_receipts[key(tx.hash())] = {std::move(r), block.header.number};
+        fresh_receipts[to_hash32(tx.hash())] = {std::move(r), block.header.number};
       } catch (const std::invalid_argument&) {
-        blocks_.at(key(block.hash())).invalid = true;
+        entry->invalid = true;
         return false;
       }
     }
@@ -270,7 +269,7 @@ bool Blockchain::adopt_branch(const Bytes& tip_hash) {
     // onto this branch starts even closer to the fork point.
     if (interval != 0 && block.header.number % interval == 0) {
       if (const std::optional<Bytes> payload = encode_checkpoint(fresh, fresh_receipts)) {
-        record_checkpoint(block.hash(), block.header.number, *payload, /*persist=*/false);
+        record_checkpoint(hash, block.header.number, *payload, /*persist=*/false);
       }
     }
   }
@@ -299,7 +298,7 @@ bool Blockchain::adopt_branch(const Bytes& tip_hash) {
 
   state_ = std::move(fresh);
   receipts_ = std::move(fresh_receipts);
-  head_hash_ = tip_hash;
+  head_hash_.assign(tip_hash.begin(), tip_hash.end());
   return true;
 }
 
@@ -319,15 +318,16 @@ void Blockchain::maybe_checkpoint() {
   if (interval == 0) return;
   const std::uint64_t h = height();
   if (h == 0 || h % interval != 0) return;
-  if (checkpoints_.contains(key(head_hash_))) return;
+  const Hash32 head = to_hash32(head_hash_);
+  if (checkpoints_.contains(head)) return;
   if (const std::optional<Bytes> payload = encode_checkpoint(state_, receipts_)) {
-    record_checkpoint(head_hash_, h, *payload, /*persist=*/true);
+    record_checkpoint(head, h, *payload, /*persist=*/true);
   }
 }
 
-void Blockchain::record_checkpoint(const Bytes& block_hash, std::uint64_t number,
+void Blockchain::record_checkpoint(const Hash32& block_hash, std::uint64_t number,
                                    const Bytes& payload, bool persist) {
-  checkpoints_[key(block_hash)] = Checkpoint{number, payload};
+  checkpoints_[block_hash] = Checkpoint{number, payload};
   while (checkpoints_.size() > kMaxCheckpoints) {
     auto lowest = checkpoints_.begin();
     for (auto it = checkpoints_.begin(); it != checkpoints_.end(); ++it) {
@@ -336,25 +336,25 @@ void Blockchain::record_checkpoint(const Bytes& block_hash, std::uint64_t number
     checkpoints_.erase(lowest);
   }
   if (persist && snapshots_ != nullptr) {
-    snapshots_->save(store::Snapshot{number, block_hash, payload});
+    snapshots_->save(store::Snapshot{number, Bytes(block_hash.begin(), block_hash.end()), payload});
   }
 }
 
 std::optional<Receipt> Blockchain::find_receipt(const Bytes& tx_hash) const {
-  const auto it = receipts_.find(key(tx_hash));
-  if (it == receipts_.end()) return std::nullopt;
-  return it->second.first;
+  const auto* found = find_by_hash(receipts_, tx_hash);
+  if (found == nullptr) return std::nullopt;
+  return found->first;
 }
 
 std::optional<std::uint64_t> Blockchain::confirmation_block(const Bytes& tx_hash) const {
-  const auto it = receipts_.find(key(tx_hash));
-  if (it == receipts_.end()) return std::nullopt;
-  return it->second.second;
+  const auto* found = find_by_hash(receipts_, tx_hash);
+  if (found == nullptr) return std::nullopt;
+  return found->second;
 }
 
 const Block* Blockchain::block_by_hash(const Bytes& block_hash) const {
-  const auto it = blocks_.find(key(block_hash));
-  return it == blocks_.end() ? nullptr : &it->second.block;
+  const Entry* entry = find_by_hash(blocks_, block_hash);
+  return entry == nullptr ? nullptr : &entry->block;
 }
 
 std::vector<Bytes> Blockchain::canonical_chain() const {
@@ -362,7 +362,7 @@ std::vector<Bytes> Blockchain::canonical_chain() const {
   Bytes cursor = head_hash_;
   while (true) {
     out.push_back(cursor);
-    const Entry& entry = blocks_.at(key(cursor));
+    const Entry& entry = blocks_.at(to_hash32(cursor));
     if (entry.block.header.number == 0) break;
     cursor = entry.block.header.parent_hash;
   }

@@ -64,7 +64,7 @@ class Blockchain {
   /// the block.
   bool add_block(const Block& block);
 
-  bool knows(const Bytes& block_hash) const { return blocks_.contains(key(block_hash)); }
+  bool knows(const Bytes& block_hash) const { return find_by_hash(blocks_, block_hash) != nullptr; }
 
   const Block& head() const;
   std::uint64_t height() const { return head().header.number; }
@@ -106,7 +106,7 @@ class Blockchain {
   /// in fork-choice order; within one reorg the diff is emitted sorted by tx
   /// hash, so the stream is deterministic across nodes.
   struct HeadEvent {
-    std::string tx_hash_hex;
+    Hash32 tx_hash;
     bool confirmed = false;  // false = dropped by a reorg, back to pending
   };
 
@@ -121,9 +121,6 @@ class Blockchain {
   }
 
  private:
-  using Key = std::string;  // hex hash as map key
-  static Key key(const Bytes& hash) { return to_hex(hash); }
-
   struct Entry {
     Block block;
     std::uint64_t total_difficulty = 0;
@@ -135,7 +132,7 @@ class Blockchain {
     Bytes payload;  // encode_checkpoint() output
   };
 
-  using ReceiptMap = std::map<Key, std::pair<Receipt, std::uint64_t>>;
+  using ReceiptMap = std::map<Hash32, std::pair<Receipt, std::uint64_t>>;
 
   /// Structural acceptance only: no journaling, no fork choice.
   bool insert_block(const Block& block, Bytes* hash_out);
@@ -144,13 +141,13 @@ class Blockchain {
   /// starting from the nearest cached checkpoint on its ancestry (genesis
   /// allocations if none). Returns false (and blacklists the offending
   /// block) on invalid bodies.
-  bool adopt_branch(const Bytes& tip_hash);
+  bool adopt_branch(const Hash32& tip_hash);
   void choose_best_tip();
 
   /// Cache (and in durable mode persist) a checkpoint for the canonical
   /// head if its height is a multiple of snapshot_interval.
   void maybe_checkpoint();
-  void record_checkpoint(const Bytes& block_hash, std::uint64_t number, const Bytes& payload,
+  void record_checkpoint(const Hash32& block_hash, std::uint64_t number, const Bytes& payload,
                          bool persist);
 
   /// Recover blocks_/state_/head from disk (durable mode constructor path).
@@ -163,11 +160,11 @@ class Blockchain {
 
   GenesisConfig genesis_;
   store::OpenOptions storage_;
-  std::map<Key, Entry> blocks_;
+  std::map<Hash32, Entry> blocks_;
   Bytes head_hash_;
   ChainState state_;
   ReceiptMap receipts_;  // tx hash -> (receipt, block no)
-  std::map<Key, Checkpoint> checkpoints_;
+  std::map<Hash32, Checkpoint> checkpoints_;
   /// The producer/consumer seam (rank kChainEvents): fork choice appends,
   /// take_head_events drains, possibly from different threads.
   mutable OrderedMutex events_mu_{LockRank::kChainEvents, "chain.head_events"};

@@ -10,9 +10,9 @@ OffChainStore::OffChainStore(store::Vfs& vfs, std::string dir)
   // get() re-verifies content anyway, so a bogus index entry could only
   // ever degrade to "not found".
   for (const std::string& name : vfs_->list(dir_)) {
-    Digest digest;
+    Hash32 digest;
     try {
-      digest = to_digest(from_hex(name));
+      digest = to_hash32(from_hex(name));
     } catch (const std::invalid_argument&) {
       continue;
     }
@@ -22,22 +22,13 @@ OffChainStore::OffChainStore(store::Vfs& vfs, std::string dir)
   }
 }
 
-OffChainStore::Digest OffChainStore::to_digest(const Bytes& digest) {
-  if (digest.size() != std::tuple_size_v<Digest>) {
-    throw std::invalid_argument("OffChainStore: digest must be 32 bytes");
-  }
-  Digest key;
-  std::copy(digest.begin(), digest.end(), key.begin());
-  return key;
-}
-
-std::string OffChainStore::blob_path(const Digest& digest) const {
+std::string OffChainStore::blob_path(const Hash32& digest) const {
   return dir_ + "/" + to_hex(digest.data(), digest.size());
 }
 
 Bytes OffChainStore::put(const Bytes& content) {
   const Bytes digest = Sha256::hash(content);
-  const Digest key = to_digest(digest);
+  const Hash32 key = to_hash32(digest);
   if (index_.contains(key)) return digest;  // content-addressed: same bytes
   if (vfs_ != nullptr) {
     store::atomic_write_file(*vfs_, blob_path(key), content);
@@ -50,17 +41,12 @@ Bytes OffChainStore::put(const Bytes& content) {
 }
 
 std::optional<Bytes> OffChainStore::get(const Bytes& digest) const {
-  Digest key;
-  try {
-    key = to_digest(digest);
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
-  if (!index_.contains(key)) return std::nullopt;
+  if (!contains(digest)) return std::nullopt;
+  const Hash32 key = to_hash32(digest);
   Bytes content;
   if (vfs_ != nullptr) {
     try {
-      content = store::read_file(*vfs_, dir_ + "/" + to_hex(digest));
+      content = store::read_file(*vfs_, blob_path(key));
     } catch (const store::IoError&) {
       return std::nullopt;  // replica lost
     }
@@ -72,11 +58,7 @@ std::optional<Bytes> OffChainStore::get(const Bytes& digest) const {
 }
 
 bool OffChainStore::contains(const Bytes& digest) const {
-  try {
-    return index_.contains(to_digest(digest));
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
+  return find_by_hash(index_, digest) != nullptr;
 }
 
 bool OffChainStore::verify(const Bytes& digest, const Bytes& content) {

@@ -18,7 +18,6 @@
 //     re-verified against the digest on every read, so a torn or bit-rotted
 //     replica degrades to "not found", never to forged content.
 
-#include <array>
 #include <map>
 #include <optional>
 
@@ -29,8 +28,6 @@ namespace zl::chain {
 
 class OffChainStore {
  public:
-  using Digest = std::array<std::uint8_t, 32>;
-
   /// In-memory store (the historical default).
   OffChainStore() = default;
 
@@ -56,15 +53,11 @@ class OffChainStore {
   /// client does after retrieval from an untrusted storage peer).
   static bool verify(const Bytes& digest, const Bytes& content);
 
-  /// Narrow a digest byte string to the raw key type (throws
-  /// std::invalid_argument unless it is exactly 32 bytes).
-  static Digest to_digest(const Bytes& digest);
-
  private:
-  std::string blob_path(const Digest& digest) const;
+  std::string blob_path(const Hash32& digest) const;
 
-  std::map<Digest, std::size_t> index_;  // digest -> blob size (both modes)
-  std::map<Digest, Bytes> blobs_;        // contents (in-memory mode only)
+  std::map<Hash32, std::size_t> index_;  // digest -> blob size (both modes)
+  std::map<Hash32, Bytes> blobs_;        // contents (in-memory mode only)
   std::size_t total_bytes_ = 0;
   store::Vfs* vfs_ = nullptr;
   std::string dir_;

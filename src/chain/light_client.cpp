@@ -69,35 +69,41 @@ Bytes tx_root_from_proof(const TxInclusionProof& proof) {
 }
 
 LightClient::LightClient(const Bytes& genesis_hash, std::uint64_t difficulty)
-    : difficulty_(difficulty), genesis_hash_(genesis_hash), head_hash_(genesis_hash) {
+    : difficulty_(difficulty), head_hash_(genesis_hash) {
   Entry genesis;
   genesis.header.number = 0;
   genesis.total_difficulty = 0;
-  headers_[to_hex(genesis_hash)] = genesis;
+  headers_[to_hash32(genesis_hash)] = genesis;
 }
 
-std::uint64_t LightClient::height() const { return headers_.at(to_hex(head_hash_)).header.number; }
+std::uint64_t LightClient::height() const {
+  return headers_.at(to_hash32(head_hash_)).header.number;
+}
 
 bool LightClient::add_header(const BlockHeader& header) {
-  const Bytes hash = header.hash();
-  if (headers_.contains(to_hex(hash))) return false;
+  const Hash32 hash = to_hash32(header.hash());
+  if (headers_.contains(hash)) return false;
   if (header.difficulty != difficulty_ || !proof_of_work_valid(header)) return false;
 
-  const auto parent = headers_.find(to_hex(header.parent_hash));
-  if (parent == headers_.end()) {
-    orphans_[to_hex(header.parent_hash)].push_back(header);
+  const Entry* parent = find_by_hash(headers_, header.parent_hash);
+  if (parent == nullptr) {
+    // Park it until the parent arrives; a parent hash that is not 32 bytes
+    // long can never connect.
+    if (header.parent_hash.size() == std::tuple_size_v<Hash32>) {
+      orphans_[to_hash32(header.parent_hash)].push_back(header);
+    }
     return false;
   }
-  if (header.number != parent->second.header.number + 1) return false;
+  if (header.number != parent->header.number + 1) return false;
 
   Entry entry;
   entry.header = header;
-  entry.total_difficulty = parent->second.total_difficulty + header.difficulty;
-  headers_[to_hex(hash)] = entry;
+  entry.total_difficulty = parent->total_difficulty + header.difficulty;
+  headers_[hash] = entry;
   choose_head();
 
   // Reconnect waiting children.
-  const auto it = orphans_.find(to_hex(hash));
+  const auto it = orphans_.find(hash);
   if (it != orphans_.end()) {
     const std::vector<BlockHeader> children = std::move(it->second);
     orphans_.erase(it);
@@ -107,17 +113,13 @@ bool LightClient::add_header(const BlockHeader& header) {
 }
 
 void LightClient::choose_head() {
-  const Entry* best = nullptr;
-  Bytes best_hash;
-  for (const auto& [hex, entry] : headers_) {
-    const Bytes h = hex == to_hex(genesis_hash_) ? genesis_hash_ : entry.header.hash();
-    if (best == nullptr || entry.total_difficulty > best->total_difficulty ||
-        (entry.total_difficulty == best->total_difficulty && to_hex(h) < to_hex(best_hash))) {
-      best = &entry;
-      best_hash = h;
-    }
+  // Heaviest chain; headers_ iterates in ascending hash order, so keeping
+  // the first of equally heavy entries breaks ties toward the lowest hash.
+  auto best = headers_.begin();
+  for (auto it = headers_.begin(); it != headers_.end(); ++it) {
+    if (it->second.total_difficulty > best->second.total_difficulty) best = it;
   }
-  head_hash_ = best_hash;
+  head_hash_.assign(best->first.begin(), best->first.end());
 }
 
 std::optional<std::uint64_t> LightClient::confirmations(const Bytes& block_hash) const {
@@ -126,20 +128,20 @@ std::optional<std::uint64_t> LightClient::confirmations(const Bytes& block_hash)
   std::uint64_t depth = 0;
   while (true) {
     if (cursor == block_hash) return depth;
-    const auto it = headers_.find(to_hex(cursor));
-    if (it == headers_.end() || it->second.header.number == 0) return std::nullopt;
-    cursor = it->second.header.parent_hash;
+    const Entry* entry = find_by_hash(headers_, cursor);
+    if (entry == nullptr || entry->header.number == 0) return std::nullopt;
+    cursor = entry->header.parent_hash;
     ++depth;
   }
 }
 
 bool LightClient::verify_inclusion(const TxInclusionProof& proof,
                                    std::uint64_t min_confirmations) const {
-  const auto it = headers_.find(to_hex(proof.block_hash));
-  if (it == headers_.end()) return false;
+  const Entry* entry = find_by_hash(headers_, proof.block_hash);
+  if (entry == nullptr) return false;
   const auto depth = confirmations(proof.block_hash);
   if (!depth.has_value() || *depth + 1 < min_confirmations) return false;
-  return tx_root_from_proof(proof) == it->second.header.tx_root;
+  return tx_root_from_proof(proof) == entry->header.tx_root;
 }
 
 }  // namespace zl::chain

@@ -44,7 +44,9 @@ class LightClient {
 
   std::uint64_t height() const;
   const Bytes& head_hash() const { return head_hash_; }
-  bool knows(const Bytes& block_hash) const { return headers_.contains(to_hex(block_hash)); }
+  bool knows(const Bytes& block_hash) const {
+    return find_by_hash(headers_, block_hash) != nullptr;
+  }
 
   /// Depth of a block under the current head (0 = head itself);
   /// std::nullopt if the block is not on the canonical chain.
@@ -64,10 +66,9 @@ class LightClient {
   void choose_head();
 
   std::uint64_t difficulty_;
-  Bytes genesis_hash_;
   Bytes head_hash_;
-  std::map<std::string, Entry> headers_;                  // hash hex -> entry
-  std::map<std::string, std::vector<BlockHeader>> orphans_;  // parent hex -> children
+  std::map<Hash32, Entry> headers_;
+  std::map<Hash32, std::vector<BlockHeader>> orphans_;  // parent hash -> children
 };
 
 }  // namespace zl::chain

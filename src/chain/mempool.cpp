@@ -49,7 +49,7 @@ Mempool::Admission Mempool::admit(const Transaction& tx, std::uint64_t chain_non
   // so the duplicate/replacement logic below can never disagree with a
   // pre-lock rejection. The only observable difference is which rejection
   // code a multiply-invalid transaction gets — never whether it is accepted.
-  const std::string h = to_hex(tx.hash());
+  const Hash32 h = to_hash32(tx.hash());
   if (tx.nonce < chain_nonce) return record_admission(Admission::kNonceTooLow);
   if (tx.gas_limit < tx.intrinsic_gas()) return record_admission(Admission::kInvalid);
   // An escrow whose gas_limit + value wraps uint64 can never be funded, yet
@@ -94,7 +94,7 @@ Mempool::Admission Mempool::admit(const Transaction& tx, std::uint64_t chain_non
 }
 
 Mempool::SenderChain::iterator Mempool::unlink(SenderChain& chain, SenderChain::iterator it) {
-  by_hash_.erase(it->second.hash_hex);
+  by_hash_.erase(it->second.hash);
   by_fee_.erase({it->second.fee, it->second.seq});
   version_.fetch_add(1, std::memory_order_release);
   return chain.erase(it);
@@ -128,9 +128,9 @@ void Mempool::on_confirmed(const Address& sender, std::uint64_t nonce) {
   ZL_OBS_GAUGE_SET("mempool.size", by_hash_.size());
 }
 
-void Mempool::drop(const std::string& tx_hash_hex) {
+void Mempool::drop(const Hash32& tx_hash) {
   MutexLock lock(mu_);
-  const auto at = by_hash_.find(tx_hash_hex);
+  const auto at = by_hash_.find(tx_hash);
   if (at == by_hash_.end()) return;
   const auto [sender, nonce] = at->second;
   const auto sc = by_sender_.find(sender);

@@ -95,8 +95,8 @@ class Mempool {
   /// `nonce` (including a competing bid for the confirmed slot).
   void on_confirmed(const Address& sender, std::uint64_t nonce) ZL_EXCLUDES(mu_);
 
-  /// Drop one transaction by hash (hex), if pooled. O(1) expected.
-  void drop(const std::string& tx_hash_hex) ZL_EXCLUDES(mu_);
+  /// Drop one transaction by hash, if pooled. O(1) expected.
+  void drop(const Hash32& tx_hash) ZL_EXCLUDES(mu_);
 
   /// Deterministic block template: up to `max_txs` transactions, highest fee
   /// first across senders, in nonce order per sender, skipping anything the
@@ -104,9 +104,9 @@ class Mempool {
   std::vector<Transaction> build_block(const ChainState& state, std::size_t max_txs) const
       ZL_EXCLUDES(mu_);
 
-  bool contains(const std::string& tx_hash_hex) const ZL_EXCLUDES(mu_) {
+  bool contains(const Hash32& tx_hash) const ZL_EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    return by_hash_.contains(tx_hash_hex);
+    return by_hash_.contains(tx_hash);
   }
   std::size_t size() const ZL_EXCLUDES(mu_) {
     MutexLock lock(mu_);
@@ -120,7 +120,7 @@ class Mempool {
  private:
   struct Entry {
     Transaction tx;
-    std::string hash_hex;
+    Hash32 hash;
     std::uint64_t fee = 0;
     std::uint64_t seq = 0;  // admission order, tie-break
   };
@@ -140,8 +140,9 @@ class Mempool {
   std::uint64_t next_seq_ ZL_GUARDED_BY(mu_) = 0;
   std::atomic<std::uint64_t> version_{0};
   std::unordered_map<Address, SenderChain> by_sender_ ZL_GUARDED_BY(mu_);
-  // tx hash (hex) -> (sender, nonce): O(1) expected confirmation eviction.
-  std::unordered_map<std::string, std::pair<Address, std::uint64_t>> by_hash_ ZL_GUARDED_BY(mu_);
+  // tx hash -> (sender, nonce): O(1) expected confirmation eviction.
+  std::unordered_map<Hash32, std::pair<Address, std::uint64_t>, Hash32Hasher> by_hash_
+      ZL_GUARDED_BY(mu_);
   // (fee, seq) -> (sender, nonce), ascending: begin() picks the overflow
   // victim (the sender shed from; see evict_cheapest).
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::pair<Address, std::uint64_t>> by_fee_

@@ -73,7 +73,7 @@ Node::Node(SimNetwork& network, const GenesisConfig& genesis, const store::OpenO
 void Node::submit_transaction(const Transaction& tx) { accept_transaction(tx, true); }
 
 void Node::accept_transaction(const Transaction& tx, bool rebroadcast) {
-  const std::string h = to_hex(tx.hash());
+  const Hash32 h = to_hash32(tx.hash());
   if (seen_.contains(h)) return;
   // Admission verifies the signature (memoized), enforces nonce/fee rules
   // and replacement-by-fee; only transactions worth relaying propagate.
@@ -81,7 +81,7 @@ void Node::accept_transaction(const Transaction& tx, bool rebroadcast) {
   // A full pool is a transient condition, not a verdict on the transaction:
   // leave it unseen so a later re-gossip can retry once the pool drains.
   if (verdict == Mempool::Admission::kPoolFull) return;
-  seen_[h] = true;
+  seen_.insert(h);
   if (!Mempool::accepted(verdict)) return;
   known_txs_.emplace(h, tx);
   if (rebroadcast) network_.broadcast(id_, MessageKind::kTransaction, tx.to_bytes());
@@ -89,13 +89,13 @@ void Node::accept_transaction(const Transaction& tx, bool rebroadcast) {
 
 void Node::sync_mempool_with_chain() {
   for (const Blockchain::HeadEvent& event : chain_.take_head_events()) {
-    const auto it = known_txs_.find(event.tx_hash_hex);
+    const auto it = known_txs_.find(event.tx_hash);
     if (event.confirmed) {
       // O(1) expected: drop the confirmed tx, and with a known body also the
       // sender's now-stale lower nonces and competing same-nonce bids.
       if (it != known_txs_.end()) mempool_.on_confirmed(it->second.from, it->second.nonce);
-      mempool_.drop(event.tx_hash_hex);
-      confirmed_bodies_.emplace_back(chain_.height(), event.tx_hash_hex);
+      mempool_.drop(event.tx_hash);
+      confirmed_bodies_.emplace_back(chain_.height(), event.tx_hash);
     } else if (it != known_txs_.end()) {
       // Reorged off the canonical chain: back to pending so miners can
       // re-include it (bodies confirmed before this process started are not
@@ -111,31 +111,33 @@ void Node::sync_mempool_with_chain() {
   // re-queued at its new depth.
   while (!confirmed_bodies_.empty() &&
          confirmed_bodies_.front().first + kBodyPruneDepth <= chain_.height()) {
-    std::string hash_hex = std::move(confirmed_bodies_.front().second);
+    const Hash32 hash = confirmed_bodies_.front().second;
     confirmed_bodies_.pop_front();
-    const std::optional<std::uint64_t> block = chain_.confirmation_block(from_hex(hash_hex));
+    const std::optional<std::uint64_t> block =
+        chain_.confirmation_block(Bytes(hash.begin(), hash.end()));
     if (!block) continue;
     if (*block + kBodyPruneDepth <= chain_.height()) {
-      known_txs_.erase(hash_hex);
+      known_txs_.erase(hash);
     } else {
-      confirmed_bodies_.emplace_back(*block, std::move(hash_hex));
+      confirmed_bodies_.emplace_back(*block, hash);
     }
   }
 }
 
 void Node::accept_block(const Block& block, bool rebroadcast) {
-  const std::string h = to_hex(block.hash());
-  if (seen_.contains(h)) return;
-  seen_[h] = true;
+  if (!seen_.insert(to_hash32(block.hash())).second) return;
   // Stash the bodies unvalidated (a reorg may later evict them and they
   // must return to the mempool); block validation itself happens inside
   // add_block's prevalidate + apply pipeline, not here.
   for (const Transaction& tx : block.transactions) {
-    known_txs_.emplace(to_hex(tx.hash()), tx);
+    known_txs_.emplace(to_hash32(tx.hash()), tx);
   }
-  // Parent not here yet (gossip reordering): park the block until it is.
+  // Parent not here yet (gossip reordering): park the block until it is. A
+  // parent hash that is not 32 bytes long can never connect.
   if (!chain_.knows(block.header.parent_hash)) {
-    orphans_[to_hex(block.header.parent_hash)].push_back(block);
+    if (block.header.parent_hash.size() == std::tuple_size_v<Hash32>) {
+      orphans_[to_hash32(block.header.parent_hash)].push_back(block);
+    }
     return;
   }
   if (!chain_.add_block(block)) return;
@@ -143,11 +145,11 @@ void Node::accept_block(const Block& block, bool rebroadcast) {
   if (rebroadcast) network_.broadcast(id_, MessageKind::kBlock, block_to_bytes(block));
 
   // Connect any orphans waiting on this block (and, transitively, theirs).
-  std::vector<Bytes> connected = {block.hash()};
+  std::vector<Hash32> connected = {to_hash32(block.hash())};
   while (!connected.empty()) {
-    const Bytes parent = connected.back();
+    const Hash32 parent = connected.back();
     connected.pop_back();
-    const auto it = orphans_.find(to_hex(parent));
+    const auto it = orphans_.find(parent);
     if (it == orphans_.end()) continue;
     const std::vector<Block> children = std::move(it->second);
     orphans_.erase(it);
@@ -155,7 +157,7 @@ void Node::accept_block(const Block& block, bool rebroadcast) {
       if (chain_.add_block(child)) {
         sync_mempool_with_chain();
         if (rebroadcast) network_.broadcast(id_, MessageKind::kBlock, block_to_bytes(child));
-        connected.push_back(child.hash());
+        connected.push_back(to_hash32(child.hash()));
       }
     }
   }

@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "chain/blockchain.h"
 #include "chain/mempool.h"
@@ -133,20 +134,20 @@ class Node {
   Blockchain chain_;
   int id_;
   Mempool mempool_;
-  std::map<std::string, bool> seen_;  // tx/block hash (hex) -> seen
+  std::unordered_set<Hash32, Hash32Hasher> seen_;  // tx and block hashes
   // Every transaction body this node has observed (gossip or block),
   // unvalidated: resurrection after a reorg re-admits from here, and
   // admission re-checks the signature (a memo hit for anything already
   // verified). Lookup-only — never iterated — so hash order is harmless.
   // Bounded: bodies confirmed deeper than kBodyPruneDepth are pruned.
-  std::unordered_map<std::string, Transaction> known_txs_;
+  std::unordered_map<Hash32, Transaction, Hash32Hasher> known_txs_;
   // Prune schedule for known_txs_: (height when the confirmation was seen,
-  // tx hash hex), drained by sync_mempool_with_chain once buried
+  // tx hash), drained by sync_mempool_with_chain once buried
   // kBodyPruneDepth below the head.
-  std::deque<std::pair<std::uint64_t, std::string>> confirmed_bodies_;
-  // Blocks that arrived before their parent, keyed by parent hash (hex);
+  std::deque<std::pair<std::uint64_t, Hash32>> confirmed_bodies_;
+  // Blocks that arrived before their parent, keyed by parent hash;
   // reconnected as soon as the parent is adopted into the store.
-  std::map<std::string, std::vector<Block>> orphans_;
+  std::map<Hash32, std::vector<Block>> orphans_;
 };
 
 /// A mining node: assembles candidate blocks from its mempool and grinds

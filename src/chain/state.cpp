@@ -38,7 +38,7 @@ namespace {
 // hierarchy; DESIGN.md §13).
 struct SnarkVerifyCache {
   OrderedMutex mutex{LockRank::kSnarkMemoCache, "state.snark_verify_cache"};
-  std::unordered_map<std::string, bool> results ZL_GUARDED_BY(mutex);
+  std::unordered_map<Hash32, bool, Hash32Hasher> results ZL_GUARDED_BY(mutex);
 };
 
 SnarkVerifyCache& snark_verify_cache() {
@@ -48,9 +48,8 @@ SnarkVerifyCache& snark_verify_cache() {
 
 }  // namespace
 
-std::string snark_verify_cache_key(const snark::VerifyingKey& vk,
-                                   const std::vector<Fr>& statement,
-                                   const snark::Proof& proof) {
+Hash32 snark_verify_cache_key(const snark::VerifyingKey& vk, const std::vector<Fr>& statement,
+                              const snark::Proof& proof) {
   Bytes key_bytes = vk.to_bytes();
   for (const Fr& s : statement) {
     const Bytes b = s.to_bytes();
@@ -58,10 +57,10 @@ std::string snark_verify_cache_key(const snark::VerifyingKey& vk,
   }
   const Bytes pb = proof.to_bytes();
   key_bytes.insert(key_bytes.end(), pb.begin(), pb.end());
-  return to_hex(keccak256(key_bytes));
+  return to_hash32(keccak256(key_bytes));
 }
 
-void warm_snark_verify_cache(const std::string& cache_key, bool ok) {
+void warm_snark_verify_cache(const Hash32& cache_key, bool ok) {
   SnarkVerifyCache& cache = snark_verify_cache();
   const MutexLock lock(cache.mutex);
   cache.results.emplace(cache_key, ok);
@@ -76,7 +75,7 @@ void clear_snark_verify_cache() {
 bool CallContext::snark_verify(const snark::VerifyingKey& vk, const std::vector<Fr>& statement,
                                const snark::Proof& proof) const {
   charge(GasSchedule::snark_verify_cost(4));
-  const std::string key = snark_verify_cache_key(vk, statement, proof);
+  const Hash32 key = snark_verify_cache_key(vk, statement, proof);
   SnarkVerifyCache& cache = snark_verify_cache();
   {
     const MutexLock lock(cache.mutex);

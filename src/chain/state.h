@@ -11,13 +11,12 @@
 namespace zl::chain {
 
 /// Memo key of one snark_verify precompile evaluation:
-/// keccak256(vk || statement || proof), hex.
-std::string snark_verify_cache_key(const snark::VerifyingKey& vk,
-                                   const std::vector<Fr>& statement,
-                                   const snark::Proof& proof);
+/// keccak256(vk || statement || proof).
+Hash32 snark_verify_cache_key(const snark::VerifyingKey& vk, const std::vector<Fr>& statement,
+                              const snark::Proof& proof);
 /// Pre-seed the precompile memo (block prevalidation verifies proofs in a
 /// parallel batch, then records the results here for sequential apply).
-void warm_snark_verify_cache(const std::string& cache_key, bool ok);
+void warm_snark_verify_cache(const Hash32& cache_key, bool ok);
 /// Drop every memoized precompile result (cold-path benchmarking).
 void clear_snark_verify_cache();
 

@@ -23,7 +23,7 @@ struct SignatureVerdictCache {
   // cap is simpler than LRU and amortizes to a no-op.
   static constexpr std::size_t kMaxEntries = 1u << 20;
   OrderedMutex mutex{LockRank::kSigVerdictCache, "tx.sig_verdict_cache"};
-  std::unordered_map<std::string, bool> verdicts ZL_GUARDED_BY(mutex);
+  std::unordered_map<Hash32, bool, Hash32Hasher> verdicts ZL_GUARDED_BY(mutex);
 };
 
 SignatureVerdictCache& signature_verdict_cache() {
@@ -92,7 +92,7 @@ Bytes Transaction::hash() const { return keccak256(to_bytes()); }
 
 bool Transaction::verify_signature() const {
   if (pubkey.size() != 65 || signature.size() != 64) return false;
-  const std::string key = to_hex(hash());
+  const Hash32 key = to_hash32(hash());
   SignatureVerdictCache& cache = signature_verdict_cache();
   {
     const MutexLock lock(cache.mutex);

@@ -4,6 +4,7 @@
 // All wire formats in this repository (transactions, blocks, ciphertexts,
 // attestations) are defined over `Bytes`, a plain contiguous byte vector.
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -13,6 +14,40 @@
 namespace zl {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// A 32-byte digest (Keccak-256 tx/block hashes, SHA-256 content addresses)
+/// held by value: the one key form of every hash-indexed container. Array
+/// order is byte-lexicographic, which is exactly the order of the lowercase
+/// hex strings these indexes were once keyed by, so anything emitted in map
+/// order (checkpoint receipts, reorg diffs, reputation snapshots) encodes
+/// byte-identically.
+using Hash32 = std::array<std::uint8_t, 32>;
+
+/// The checked Bytes -> Hash32 conversion. Throws std::invalid_argument
+/// unless `digest` is exactly 32 bytes: a wrong-length hash is never a key.
+Hash32 to_hash32(const Bytes& digest);
+
+/// Lookup by an untrusted Bytes hash: a pointer to the mapped value, or
+/// nullptr when the hash is unknown or not 32 bytes long (never throws).
+template <typename Map>
+auto find_by_hash(Map& map, const Bytes& hash) -> decltype(&map.begin()->second) {
+  if (hash.size() != std::tuple_size_v<Hash32>) return nullptr;
+  const auto it = map.find(to_hash32(hash));
+  return it == map.end() ? nullptr : &it->second;
+}
+
+/// FNV-1a over a byte range: the one byte fold behind Hash32Hasher and
+/// std::hash<chain::Address>.
+constexpr std::size_t fnv1a(const std::uint8_t* data, std::size_t n) noexcept {
+  std::size_t h = 1469598103934665603ull;
+  for (std::size_t i = 0; i < n; ++i) h = (h ^ data[i]) * 1099511628211ull;
+  return h;
+}
+
+/// Hasher for unordered containers keyed by Hash32.
+struct Hash32Hasher {
+  std::size_t operator()(const Hash32& h) const noexcept { return fnv1a(h.data(), h.size()); }
+};
 
 /// Hex-encode `data` (lowercase, no 0x prefix).
 std::string to_hex(const Bytes& data);
@@ -31,21 +66,14 @@ Bytes to_bytes(std::string_view s);
 Bytes concat(std::initializer_list<Bytes> parts);
 
 /// Append big-endian fixed-width integers (used by canonical serialization).
+/// Read them back with ByteReader::u32()/u64().
 void append_u32_be(Bytes& out, std::uint32_t v);
 void append_u64_be(Bytes& out, std::uint64_t v);
 
-/// Read big-endian integers back. Throws std::out_of_range if truncated.
-/// Legacy API: decoders in src/ must use ByteReader instead (zl-lint's
-/// unchecked-length rule enforces it); these remain for tests and tools.
-std::uint32_t read_u32_be(const Bytes& in, std::size_t offset);
-std::uint64_t read_u64_be(const Bytes& in, std::size_t offset);
-
-/// Append a length-prefixed (u32) byte string; the inverse returns the string
-/// and advances `offset`. This is the canonical TLV-free framing used by all
-/// serialized structures in the repo. The reading half is legacy like
-/// read_u32_be — parse via ByteReader::frame(cap) in src/.
+/// Append a length-prefixed (u32) byte string: the canonical TLV-free
+/// framing used by all serialized structures in the repo. Read it back with
+/// ByteReader::frame(cap).
 void append_frame(Bytes& out, const Bytes& part);
-Bytes read_frame(const Bytes& in, std::size_t& offset);
 
 /// Every malformed encoding — truncation, a length prefix over its declared
 /// cap, trailing bytes, a bad discriminant — surfaces as DecodeError. It

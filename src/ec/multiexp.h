@@ -8,14 +8,13 @@
 // Two engines live here (DESIGN.md §11):
 //
 //   multiexp_textbook — the original Jacobian bucket method, kept verbatim
-//     as the bit-equality oracle.
-//   multiexp          — the kernel engine (default; toggled by
-//     common/kernel_engine.h): signed-digit windows (digits in
+//     as the bit-equality oracle (tests and bench_kernels call it directly).
+//   multiexp          — the kernel engine: signed-digit windows (digits in
 //     [-2^(c-1), 2^(c-1)], so half the buckets), batch-affine bucket
 //     accumulation (buckets stay affine; each conflict-free pass resolves
-//     its additions with ONE field inversion via Montgomery's trick), and —
-//     for G1 — a GLV front-end that splits every scalar into two half-width
-//     scalars against the endomorphism image, halving the window count.
+//     its additions with ONE field inversion via Montgomery's trick), and a
+//     GLV front-end that splits every scalar into two half-width scalars
+//     against the endomorphism image, halving the window count.
 //
 // Group addition is exact, so both engines compute the same group element
 // for any bucketing/order; serialization normalizes to affine, hence byte
@@ -35,10 +34,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
-#include "common/kernel_engine.h"
 #include "common/thread_pool.h"
 #include "ec/bn254_groups.h"
 #include "ec/glv.h"
@@ -288,8 +285,7 @@ Point multiexp_core(const std::vector<typename Point::Affine>& pts, const std::v
 }  // namespace detail
 
 /// The original Jacobian bucket method, kept as the bit-equality oracle for
-/// the kernel engine (and the implementation behind it when the engine is
-/// toggled off).
+/// the kernel engine (and the plain ladder behind multiexp for n < 8).
 template <typename Point>
 Point multiexp_textbook(const std::vector<Point>& points, const std::vector<Fr>& scalars) {
   if (points.size() != scalars.size()) {
@@ -360,17 +356,6 @@ Point multiexp_textbook(const std::vector<Point>& points, const std::vector<Fr>&
 
 namespace detail {
 
-/// Kernel engine without the GLV front-end (G2, or any curve without a
-/// derived endomorphism): signed digits over the full 254-bit scalars.
-template <typename Point>
-Point multiexp_kernel_generic(const std::vector<Point>& points, const std::vector<Fr>& scalars) {
-  const std::size_t n = points.size();
-  const std::vector<typename Point::Affine> pts = Point::normalize(points);
-  std::vector<Limbs> k(n);
-  parallel_for(n, [&](std::size_t i) { k[i] = scalars[i].to_limbs(); });
-  return multiexp_core<Point>(pts, k, Fr::kModulusBits);
-}
-
 /// GLV kernel engine (G1 and G2): split every scalar into two half-width
 /// magnitudes against the base point and its endomorphism image. Twice the
 /// points at half the windows — the windowed doubling chain halves outright.
@@ -402,23 +387,17 @@ Point multiexp_kernel_glv(const std::vector<Point>& points, const std::vector<Fr
 
 }  // namespace detail
 
-/// Computes sum_i scalars[i] * points[i]. Scalars are Fr elements. Routes to
-/// the kernel engine unless it is toggled off (common/kernel_engine.h); tiny
-/// inputs always take the textbook plain ladder.
+/// Computes sum_i scalars[i] * points[i] over G1 or G2. Scalars are Fr
+/// elements. Routes to the GLV kernel engine; tiny inputs take the textbook
+/// plain ladder.
 template <typename Point>
 Point multiexp(const std::vector<Point>& points, const std::vector<Fr>& scalars) {
   if (points.size() != scalars.size()) {
     throw std::invalid_argument("multiexp: size mismatch");
   }
   ZL_TRACE_SPAN("prover.multiexp");
-  if (points.size() < 8 || !kernel_engine_enabled()) {
-    return multiexp_textbook(points, scalars);
-  }
-  if constexpr (std::is_same_v<Point, G1> || std::is_same_v<Point, G2>) {
-    return detail::multiexp_kernel_glv(points, scalars);
-  } else {
-    return detail::multiexp_kernel_generic(points, scalars);
-  }
+  if (points.size() < 8) return multiexp_textbook(points, scalars);
+  return detail::multiexp_kernel_glv(points, scalars);
 }
 
 }  // namespace zl

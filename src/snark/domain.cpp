@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/kernel_engine.h"
 #include "common/thread_pool.h"
 #include "obs/obs.h"
 
@@ -89,14 +88,14 @@ EvaluationDomain::EvaluationDomain(std::size_t min_size) {
   coset_gen_inv_ = coset_gen_.inverse();
 
   twiddles_ = power_table(omega_, size_ / 2);
-  twiddles_inv_ = power_table(omega_inv_, size_ / 2);
   stage_twiddles_ = build_stage_twiddles(twiddles_, size_);
-  stage_twiddles_inv_ = build_stage_twiddles(twiddles_inv_, size_);
+  stage_twiddles_inv_ = build_stage_twiddles(power_table(omega_inv_, size_ / 2), size_);
   coset_powers_ = power_table(coset_gen_, size_);
   coset_powers_inv_ = power_table(coset_gen_inv_, size_);
 }
 
-void EvaluationDomain::fft_textbook(std::vector<Fr>& a, const std::vector<Fr>& twiddles) const {
+void EvaluationDomain::fft_textbook(std::vector<Fr>& a) const {
+  if (a.size() != size_) throw std::invalid_argument("fft: size mismatch");
   bit_reverse_permute(a, size_);
   // Each stage performs size/2 independent butterflies; they write disjoint
   // index pairs, so the stage parallelizes freely (stages are barriers).
@@ -110,7 +109,7 @@ void EvaluationDomain::fft_textbook(std::vector<Fr>& a, const std::vector<Fr>& t
           const std::size_t i0 = block * len + k;
           const std::size_t i1 = i0 + half;
           const Fr u = a[i0];
-          const Fr v = a[i1] * twiddles[k * stride];
+          const Fr v = a[i1] * twiddles_[k * stride];
           a[i0] = u + v;
           a[i1] = u - v;
         },
@@ -120,6 +119,8 @@ void EvaluationDomain::fft_textbook(std::vector<Fr>& a, const std::vector<Fr>& t
 
 void EvaluationDomain::fft_blocked(std::vector<Fr>& a,
                                    const std::vector<Fr>& stage_twiddles) const {
+  if (a.size() != size_) throw std::invalid_argument("fft: size mismatch");
+  ZL_TRACE_SPAN("prover.fft");
   bit_reverse_permute(a, size_);
   // Lower stages (len <= tile): after bit reversal, every butterfly with
   // len <= tile stays inside one aligned tile-sized slice, so each slice
@@ -166,25 +167,10 @@ void EvaluationDomain::fft_blocked(std::vector<Fr>& a,
   }
 }
 
-void EvaluationDomain::fft_internal(std::vector<Fr>& a, const std::vector<Fr>& twiddles,
-                                    const std::vector<Fr>& stage_twiddles) const {
-  if (a.size() != size_) throw std::invalid_argument("fft: size mismatch");
-  ZL_TRACE_SPAN("prover.fft");
-  // Both engines evaluate the same butterfly DAG over exact arithmetic, so
-  // their outputs are bit-identical (pinned by tests/test_snark.cpp).
-  if (kernel_engine_enabled()) {
-    fft_blocked(a, stage_twiddles);
-  } else {
-    fft_textbook(a, twiddles);
-  }
-}
-
-void EvaluationDomain::fft(std::vector<Fr>& a) const {
-  fft_internal(a, twiddles_, stage_twiddles_);
-}
+void EvaluationDomain::fft(std::vector<Fr>& a) const { fft_blocked(a, stage_twiddles_); }
 
 void EvaluationDomain::ifft(std::vector<Fr>& a) const {
-  fft_internal(a, twiddles_inv_, stage_twiddles_inv_);
+  fft_blocked(a, stage_twiddles_inv_);
   parallel_for(
       size_, [&](std::size_t i) { a[i] *= size_inv_; }, /*min_grain=*/2048);
 }

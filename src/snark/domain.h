@@ -56,10 +56,11 @@ class EvaluationDomain {
   /// `tau` must not lie in the domain.
   std::vector<Fr> lagrange_coeffs_at(const Fr& tau) const;
 
+  /// The textbook radix-2 FFT: the bit-equality oracle for fft()'s
+  /// cache-blocked kernel (tests and bench_kernels call it directly).
+  void fft_textbook(std::vector<Fr>& a) const;
+
  private:
-  void fft_internal(std::vector<Fr>& a, const std::vector<Fr>& twiddles,
-                    const std::vector<Fr>& stage_twiddles) const;
-  void fft_textbook(std::vector<Fr>& a, const std::vector<Fr>& twiddles) const;
   void fft_blocked(std::vector<Fr>& a, const std::vector<Fr>& stage_twiddles) const;
 
   std::size_t size_;
@@ -70,7 +71,6 @@ class EvaluationDomain {
   Fr coset_gen_;
   Fr coset_gen_inv_;
   std::vector<Fr> twiddles_;          // omega^j,   j < size/2
-  std::vector<Fr> twiddles_inv_;      // omega^-j,  j < size/2
   // Per-stage twiddle layout for the cache-blocked kernel: the stage with
   // half-block h occupies [h-1, 2h-1), entry k = omega^(k * size/(2h)), so
   // every butterfly stage reads its twiddles sequentially instead of with a

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/kernel_engine.h"
 #include "common/thread_pool.h"
 #include "ec/glv.h"
 #include "ec/multiexp.h"
@@ -267,12 +266,8 @@ bool verify(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_input
   G1 vk_x = pvk.ic[0];
   for (std::size_t i = 0; i < public_inputs.size(); ++i) {
     // Public inputs are public by definition, so the variable-time GLV split
-    // is safe here; the ladder stays as the oracle path.
-    if (kernel_engine_enabled()) {
-      vk_x += glv_mul(pvk.ic[i + 1], public_inputs[i]);
-    } else {
-      vk_x += pvk.ic[i + 1] * public_inputs[i];
-    }
+    // is safe here.
+    vk_x += glv_mul(pvk.ic[i + 1], public_inputs[i]);
   }
 
   // e(A, B) == e(alpha, beta) e(vk_x, gamma) e(C, delta), with e(alpha,

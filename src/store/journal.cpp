@@ -13,24 +13,24 @@ BlockJournal::BlockJournal(Vfs& vfs, const std::string& dir, const Wal::Options&
            [this, &on_block](std::uint8_t type, const Bytes& payload, std::uint64_t segment) {
              if (type != kBlockRecord || payload.size() < 32) return;  // foreign record: skip
              ByteReader r(payload, "journal block record");
-             const Bytes hash = r.take(32);
-             index_[to_hex(hash)] = Position{segment, sequence_++};
+             index_[to_hash32(r.take(32))] = Position{segment, sequence_++};
              on_block(r.take(r.remaining()));
            }) {}
 
 void BlockJournal::append_block(const Bytes& block_hash, const Bytes& block_bytes) {
   if (block_hash.size() != 32) throw IoError("journal: block hash must be 32 bytes");
-  if (index_.contains(to_hex(block_hash))) return;  // already journaled
+  const Hash32 key = to_hash32(block_hash);
+  if (index_.contains(key)) return;  // already journaled
   Bytes payload;
   payload.reserve(32 + block_bytes.size());
   payload.insert(payload.end(), block_hash.begin(), block_hash.end());
   payload.insert(payload.end(), block_bytes.begin(), block_bytes.end());
   wal_.append(kBlockRecord, payload);
-  index_[to_hex(block_hash)] = Position{wal_.segment_index(), sequence_++};
+  index_[key] = Position{wal_.segment_index(), sequence_++};
 }
 
 bool BlockJournal::contains(const Bytes& block_hash) const {
-  return index_.contains(to_hex(block_hash));
+  return find_by_hash(index_, block_hash) != nullptr;
 }
 
 }  // namespace zl::store

@@ -49,7 +49,7 @@ class BlockJournal {
  private:
   static constexpr std::uint8_t kBlockRecord = 1;
 
-  std::map<std::string, Position> index_;  // hex hash -> position
+  std::map<Hash32, Position> index_;  // block hash -> position
   std::uint64_t sequence_ = 0;
   Wal wal_;  // initialized last: its replay fills index_
 };

@@ -107,7 +107,7 @@ ClassicWorkerClient::ClassicWorkerClient(TestNet& net, const auth::ClassicUserKe
     : net_(net), key_(key), cert_(cert), rng_(std::move(rng)) {}
 
 chain::Address ClassicWorkerClient::reward_address(const Address& task_address) const {
-  const auto it = task_wallets_.find(task_address.to_hex());
+  const auto it = task_wallets_.find(task_address);
   if (it == task_wallets_.end()) {
     throw std::logic_error("ClassicWorkerClient: no submission for task");
   }
@@ -136,7 +136,7 @@ Bytes ClassicWorkerClient::submit_answer(const Address& task_address, const Fr& 
 
   const Transaction tx = wallet->make_transaction(
       task_address, 0, 2'000'000, "submit", TaskContract::encode_submit_args(att, ct));
-  task_wallets_[task_address.to_hex()] = std::move(wallet);
+  task_wallets_[task_address] = std::move(wallet);
   net_.client_node().submit_transaction(tx);
   return tx.hash();
 }

@@ -56,7 +56,7 @@ class ClassicWorkerClient {
   auth::ClassicUserKey key_;
   auth::ClassicCertificate cert_;
   Rng rng_;
-  std::map<std::string, std::unique_ptr<chain::Wallet>> task_wallets_;
+  std::map<chain::Address, std::unique_ptr<chain::Wallet>> task_wallets_;
 };
 
 }  // namespace zl::zebralancer

@@ -141,7 +141,7 @@ std::optional<Bytes> WorkerClient::fetch_task_data(const Address& task_address) 
 }
 
 chain::Address WorkerClient::reward_address(const Address& task_address) const {
-  const auto it = task_wallets_.find(task_address.to_hex());
+  const auto it = task_wallets_.find(task_address);
   if (it == task_wallets_.end()) throw std::logic_error("WorkerClient: no submission for task");
   return it->second->address();
 }
@@ -177,7 +177,7 @@ Bytes WorkerClient::submit_answer(const Address& task_address, const Fr& answer)
 
   const Transaction tx = wallet->make_transaction(
       task_address, 0, 2'000'000, "submit", TaskContract::encode_submit_args(att, ct));
-  task_wallets_[task_address.to_hex()] = std::move(wallet);
+  task_wallets_[task_address] = std::move(wallet);
   net_.client_node().submit_transaction(tx);
   return tx.hash();
 }

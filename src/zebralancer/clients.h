@@ -121,7 +121,7 @@ class WorkerClient {
   auth::UserKey key_;
   auth::Certificate cert_;
   Rng rng_;
-  std::map<std::string, std::unique_ptr<chain::Wallet>> task_wallets_;  // task addr hex -> wallet
+  std::map<chain::Address, std::unique_ptr<chain::Wallet>> task_wallets_;  // task -> wallet
 };
 
 }  // namespace zl::zebralancer

@@ -36,7 +36,7 @@ void ReputationRegistryContract::invoke(CallContext& ctx, const std::string& met
     const std::int64_t delta = static_cast<std::int64_t>(r.u64());
     if (!r.at_end() || digest.size() != 32) throw ContractRevert("malformed record");
     ctx.charge(GasSchedule::kStorageWrite);
-    scores_[to_hex(digest)] += delta;
+    scores_[to_hash32(digest)] += delta;
     ctx.log("reputation " + to_hex(digest).substr(0, 8) + (delta >= 0 ? " +" : " ") +
             std::to_string(delta));
   } else {
@@ -54,8 +54,8 @@ std::optional<Bytes> ReputationRegistryContract::snapshot_state() const {
     out.push_back(enabled ? 1 : 0);
   }
   append_u32_be(out, static_cast<std::uint32_t>(scores_.size()));
-  for (const auto& [digest_hex, value] : scores_) {
-    append_frame(out, from_hex(digest_hex));
+  for (const auto& [digest, value] : scores_) {
+    append_frame(out, Bytes(digest.begin(), digest.end()));
     append_u64_be(out, static_cast<std::uint64_t>(value));
   }
   return out;
@@ -76,15 +76,15 @@ void ReputationRegistryContract::restore_state(const Bytes& state) {
   }
   const std::uint32_t n_scores = r.count(kMaxEntries);
   for (std::uint32_t i = 0; i < n_scores; ++i) {
-    const Bytes digest = r.frame(32);
-    scores_[to_hex(digest)] = static_cast<std::int64_t>(r.u64());
+    const Hash32 digest = to_hash32(r.frame(32));  // a short frame is corrupt
+    scores_[digest] = static_cast<std::int64_t>(r.u64());
   }
   r.expect_end();
 }
 
 std::int64_t ReputationRegistryContract::score(const Bytes& identity_digest) const {
-  const auto it = scores_.find(to_hex(identity_digest));
-  return it == scores_.end() ? 0 : it->second;
+  const std::int64_t* score = find_by_hash(scores_, identity_digest);
+  return score == nullptr ? 0 : *score;
 }
 
 Bytes ReputationRegistryContract::encode_record_args(const Bytes& identity_digest,

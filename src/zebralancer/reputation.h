@@ -41,7 +41,7 @@ class ReputationRegistryContract : public chain::Contract {
  private:
   chain::Address owner_;
   std::map<chain::Address, bool> authorized_;
-  std::map<std::string, std::int64_t> scores_;  // digest hex -> score
+  std::map<Hash32, std::int64_t> scores_;  // identity digest -> score
 };
 
 }  // namespace zl::zebralancer

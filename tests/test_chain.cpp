@@ -23,7 +23,7 @@ class CounterContract : public Contract {
       ctx.log("incremented");
     } else if (method == "payout") {
       if (args.size() != 8) throw ContractRevert("bad args");
-      const std::uint64_t amount = read_u64_be(args, 0);
+      const std::uint64_t amount = ByteReader(args).u64();
       if (!ctx.transfer(ctx.sender, amount)) throw ContractRevert("insufficient balance");
     } else if (method == "burn_gas") {
       for (;;) ctx.charge(1000);
@@ -41,8 +41,9 @@ class CounterContract : public Contract {
     return out;
   }
   void restore_state(const Bytes& state) override {
-    initial_ = read_u64_be(state, 0);
-    count_ = read_u64_be(state, 8);
+    ByteReader r(state, "counter state");
+    initial_ = r.u64();
+    count_ = r.u64();
   }
 
  private:
@@ -259,6 +260,25 @@ TEST(Blockchain, GenesisAndLinearGrowth) {
   orphan.header.number = 5;
   while (!proof_of_work_valid(orphan.header)) ++orphan.header.nonce;
   EXPECT_FALSE(chain.add_block(orphan));
+
+  // A hash of the wrong length is never a key: lookups miss without
+  // throwing, and a 31-byte parent hash names no parent.
+  for (const std::size_t n : {31u, 33u}) {
+    Bytes block_hash = b1.hash(), tx_hash = b1.transactions[0].hash();
+    block_hash.resize(n);
+    tx_hash.resize(n);
+    EXPECT_FALSE(chain.knows(block_hash)) << n;
+    EXPECT_EQ(chain.block_by_hash(block_hash), nullptr) << n;
+    EXPECT_FALSE(chain.find_receipt(tx_hash).has_value()) << n;
+    EXPECT_FALSE(chain.confirmation_block(tx_hash).has_value()) << n;
+  }
+  Block short_parent = b1;
+  short_parent.header.parent_hash = b1.hash();
+  short_parent.header.parent_hash.pop_back();
+  short_parent.header.number = 2;
+  while (!proof_of_work_valid(short_parent.header)) ++short_parent.header.nonce;
+  EXPECT_FALSE(chain.add_block(short_parent));
+  EXPECT_EQ(chain.height(), 1u);
 }
 
 TEST(Blockchain, ForkChoiceAdoptsLongerBranch) {

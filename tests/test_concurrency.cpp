@@ -181,7 +181,7 @@ TEST(MempoolConcurrencyStress, AdmitConfirmBuildRaceWithReorgStorm) {
       if (!ev.confirmed) continue;
       const auto receipt_tx = std::find_if(
           pending.begin(), pending.end(),
-          [&](const Transaction& tx) { return to_hex(tx.hash()) == ev.tx_hash_hex; });
+          [&](const Transaction& tx) { return to_hash32(tx.hash()) == ev.tx_hash; });
       if (receipt_tx != pending.end()) pool.on_confirmed(receipt_tx->from, receipt_tx->nonce);
     }
   };

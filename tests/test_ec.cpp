@@ -3,7 +3,6 @@
 // against the naive sum.
 #include <gtest/gtest.h>
 
-#include "common/kernel_engine.h"
 #include "ec/babyjubjub.h"
 #include "ec/glv.h"
 #include "ec/multiexp.h"
@@ -220,10 +219,6 @@ void check_kernel_vs_textbook(std::uint64_t seed) {
     const Point oracle = multiexp_textbook(points, scalars);
     const Point kernel = multiexp(points, scalars);
     EXPECT_EQ(kernel, oracle) << "n=" << n;
-    {
-      ScopedKernelEngine off(false);  // toggled off, multiexp IS the oracle
-      EXPECT_EQ(multiexp(points, scalars), oracle) << "n=" << n;
-    }
   }
 }
 

@@ -83,6 +83,59 @@ TEST(ReputationRegistry, OwnerGatingAndScores) {
   EXPECT_EQ(contract->score(keccak256(to_bytes("never-seen"))), 0);
 }
 
+TEST(ReputationRegistry, SnapshotBytesPinnedAndShortDigestRejected) {
+  chain::ChainState state;
+  ReputationRegistryContract::register_type();
+  Rng rng(803);
+  chain::Wallet owner(rng);
+  state.credit(owner.address(), 10'000'000);
+  const chain::Address miner;
+  const chain::Receipt dep = state.apply_transaction(
+      owner.make_transaction(chain::Address(), 0, 200'000,
+                             ReputationRegistryContract::kContractType, {}),
+      1, miner);
+  ASSERT_TRUE(dep.success) << dep.error;
+  const chain::Address registry = dep.created_contract;
+  ASSERT_TRUE(state
+                  .apply_transaction(owner.make_transaction(registry, 0, 100'000, "authorize",
+                                                            owner.address().to_bytes()),
+                                     2, miner)
+                  .success);
+  // Recorded in name order, which is not digest order: the snapshot lists
+  // scores sorted by digest, and its digest is pinned to the bytes earlier
+  // builds (which sorted by hex string) wrote.
+  for (int i = 0; i < 5; ++i) {
+    const Bytes args = ReputationRegistryContract::encode_record_args(
+        keccak256(to_bytes("worker-" + std::to_string(i))), i - 2);
+    ASSERT_TRUE(
+        state.apply_transaction(owner.make_transaction(registry, 0, 100'000, "record", args), 3,
+                                miner)
+            .success);
+  }
+  const auto* contract = state.contract_as<ReputationRegistryContract>(registry);
+  ASSERT_NE(contract, nullptr);
+  const std::optional<Bytes> snapshot = contract->snapshot_state();
+  ASSERT_TRUE(snapshot.has_value());
+  EXPECT_EQ(to_hex(keccak256(*snapshot)),
+            "62cffdcff2986ec85e7c08e28ea613f0e698a3603896d1e5615efa20aeb259d7");
+
+  ReputationRegistryContract restored;
+  restored.restore_state(*snapshot);
+  EXPECT_EQ(restored.snapshot_state(), snapshot);
+  const Bytes top = keccak256(to_bytes("worker-4"));
+  EXPECT_EQ(restored.score(top), 2);
+  EXPECT_EQ(restored.score(Bytes(top.begin(), top.end() - 1)), 0) << "31-byte digest";
+
+  // A stored digest frame that is not 32 bytes is corruption, not a key.
+  Bytes corrupt;
+  append_frame(corrupt, owner.address().to_bytes());
+  append_u32_be(corrupt, 0);  // no reporters
+  append_u32_be(corrupt, 1);  // one score
+  append_frame(corrupt, Bytes(31, 0xab));
+  append_u64_be(corrupt, 7);
+  EXPECT_THROW(ReputationRegistryContract().restore_state(corrupt), std::invalid_argument);
+}
+
 class ExtensionE2eTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {

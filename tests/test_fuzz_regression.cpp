@@ -35,6 +35,10 @@ const Family kFamilies[] = {
     {"snapshot", zl::fuzz::fuzz_snapshot},
 };
 
+// Without this gtest prints the raw struct bytes (two pointers), which puts
+// load-address-dependent text into every discovered ctest name.
+void PrintTo(const Family& family, std::ostream* os) { *os << family.name; }
+
 std::vector<std::uint8_t> slurp(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << "cannot read " << path;

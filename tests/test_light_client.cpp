@@ -149,6 +149,13 @@ TEST(LightClient, SpvAgainstAFullNode) {
   forged.block_hash = Bytes(32, 0xcd);
   EXPECT_FALSE(light.verify_inclusion(forged));
   EXPECT_FALSE(light.verify_inclusion(proof, /*min_confirmations=*/10'000));
+  // A block hash of the wrong length is unknown, not an error.
+  for (const std::size_t n : {31u, 33u}) {
+    forged = proof;
+    forged.block_hash.resize(n);
+    EXPECT_FALSE(light.knows(forged.block_hash)) << n;
+    EXPECT_FALSE(light.verify_inclusion(forged)) << n;
+  }
 }
 
 }  // namespace

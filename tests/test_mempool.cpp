@@ -106,14 +106,14 @@ TEST(Mempool, ReplacementByFeeRequiresBump) {
   a.set_nonce(0);
   const Transaction low = bid(a, sink.address(), 40'000 + Mempool::kReplacementBump - 1);
   EXPECT_EQ(pool.admit(low, 0), Mempool::Admission::kUnderpriced);
-  EXPECT_TRUE(pool.contains(to_hex(original.hash())));
+  EXPECT_TRUE(pool.contains(to_hash32(original.hash())));
 
   // Sufficient bump: replaces in place; the pool never holds both.
   a.set_nonce(0);
   const Transaction high = bid(a, sink.address(), 40'000 + Mempool::kReplacementBump);
   EXPECT_EQ(pool.admit(high, 0), Mempool::Admission::kReplaced);
-  EXPECT_FALSE(pool.contains(to_hex(original.hash())));
-  EXPECT_TRUE(pool.contains(to_hex(high.hash())));
+  EXPECT_FALSE(pool.contains(to_hash32(original.hash())));
+  EXPECT_TRUE(pool.contains(to_hash32(high.hash())));
   EXPECT_EQ(pool.size(), 1u);
 
   const std::vector<Transaction> block = pool.build_block(state, 16);
@@ -178,9 +178,9 @@ TEST(Mempool, ConfirmationEvictsSenderChainUpToNonce) {
   // and the other sender untouched.
   pool.on_confirmed(a.address(), 2);
   EXPECT_EQ(pool.size(), 2u);
-  EXPECT_FALSE(pool.contains(to_hex(a_txs[2].hash())));
-  EXPECT_TRUE(pool.contains(to_hex(a_txs[3].hash())));
-  EXPECT_TRUE(pool.contains(to_hex(b0.hash())));
+  EXPECT_FALSE(pool.contains(to_hash32(a_txs[2].hash())));
+  EXPECT_TRUE(pool.contains(to_hash32(a_txs[3].hash())));
+  EXPECT_TRUE(pool.contains(to_hash32(b0.hash())));
 }
 
 TEST(Mempool, FullPoolEvictsCheapestAndRefusesUnderbids) {
@@ -201,9 +201,9 @@ TEST(Mempool, FullPoolEvictsCheapestAndRefusesUnderbids) {
   const Transaction rich = bid(c, sink.address(), 50'000);
   EXPECT_EQ(pool.admit(rich, 0), Mempool::Admission::kAdmitted);
   EXPECT_EQ(pool.size(), 2u);
-  EXPECT_FALSE(pool.contains(to_hex(cheap.hash())));
-  EXPECT_TRUE(pool.contains(to_hex(mid.hash())));
-  EXPECT_TRUE(pool.contains(to_hex(rich.hash())));
+  EXPECT_FALSE(pool.contains(to_hash32(cheap.hash())));
+  EXPECT_TRUE(pool.contains(to_hash32(mid.hash())));
+  EXPECT_TRUE(pool.contains(to_hash32(rich.hash())));
 }
 
 TEST(Mempool, FullPoolEvictionOfOwnSenderChainStaysConsistent) {
@@ -221,11 +221,11 @@ TEST(Mempool, FullPoolEvictionOfOwnSenderChainStaysConsistent) {
   // through a freed map node and desync the indexes).
   EXPECT_EQ(pool.admit(t1, 0), Mempool::Admission::kAdmitted);
   EXPECT_EQ(pool.size(), 1u);
-  EXPECT_FALSE(pool.contains(to_hex(t0.hash())));
-  EXPECT_TRUE(pool.contains(to_hex(t1.hash())));
+  EXPECT_FALSE(pool.contains(to_hash32(t0.hash())));
+  EXPECT_TRUE(pool.contains(to_hash32(t1.hash())));
 
   // The survivor must be reachable through every index.
-  pool.drop(to_hex(t1.hash()));
+  pool.drop(to_hash32(t1.hash()));
   EXPECT_TRUE(pool.empty());
 }
 
@@ -248,10 +248,10 @@ TEST(Mempool, FullPoolEvictsFromTailOfCheapestSendersChain) {
   // The cheapest bid (a's nonce 1) names the victim sender, but the entry
   // shed is the tail (nonce 2): evicting the mid-chain nonce 1 would have
   // stranded nonce 2 behind an unfillable gap.
-  EXPECT_TRUE(pool.contains(to_hex(a0.hash())));
-  EXPECT_TRUE(pool.contains(to_hex(a1.hash())));
-  EXPECT_FALSE(pool.contains(to_hex(a2.hash())));
-  EXPECT_TRUE(pool.contains(to_hex(b0.hash())));
+  EXPECT_TRUE(pool.contains(to_hash32(a0.hash())));
+  EXPECT_TRUE(pool.contains(to_hash32(a1.hash())));
+  EXPECT_FALSE(pool.contains(to_hash32(a2.hash())));
+  EXPECT_TRUE(pool.contains(to_hash32(b0.hash())));
 }
 
 TEST(Mempool, RejectsOverflowingEscrowAtAdmission) {
@@ -316,9 +316,7 @@ class ProbeNode : public Node {
   void deliver_tx(const Transaction& tx) { accept_transaction(tx, false); }
   const Mempool& pool() const { return mempool_; }
   void shrink_pool(std::size_t max_txs) { mempool_.reset(max_txs); }
-  bool has_body(const std::string& tx_hash_hex) const {
-    return known_txs_.contains(tx_hash_hex);
-  }
+  bool has_body(const Hash32& tx_hash) const { return known_txs_.contains(tx_hash); }
 };
 
 TEST(MempoolNode, ConfirmationDropsCompetingBidsIncrementally) {
@@ -371,7 +369,7 @@ TEST(MempoolNode, ReorgReturnsOrphanedTransactionsToPool) {
   EXPECT_EQ(node.chain().height(), 2u);
   EXPECT_EQ(node.chain().head_hash(), b2.hash());
   EXPECT_FALSE(node.chain().find_receipt(tx.hash()).has_value());
-  EXPECT_TRUE(node.pool().contains(to_hex(tx.hash())))
+  EXPECT_TRUE(node.pool().contains(to_hash32(tx.hash())))
       << "reorged-out transactions must return to the mempool";
 }
 
@@ -387,7 +385,7 @@ TEST(MempoolNode, PoolFullRejectionIsRetriableOnRegossip) {
   const Transaction cheap = bid(bob, sink.address(), 30'000);
   node.deliver_tx(rich);
   node.deliver_tx(cheap);  // pool full and this is the cheapest: bounces
-  EXPECT_FALSE(node.pool().contains(to_hex(cheap.hash())));
+  EXPECT_FALSE(node.pool().contains(to_hash32(cheap.hash())));
 
   // The rich transaction confirms and the pool drains. A re-gossip of the
   // bounced transaction must now be admitted — kPoolFull is a transient
@@ -396,7 +394,7 @@ TEST(MempoolNode, PoolFullRejectionIsRetriableOnRegossip) {
   node.deliver_block(b1);
   EXPECT_TRUE(node.pool().empty());
   node.deliver_tx(cheap);
-  EXPECT_TRUE(node.pool().contains(to_hex(cheap.hash())))
+  EXPECT_TRUE(node.pool().contains(to_hash32(cheap.hash())))
       << "a pool-full rejection must not permanently drop the transaction";
 }
 
@@ -408,7 +406,7 @@ TEST(MempoolNode, ConfirmedBodiesPrunedPastReorgHorizon) {
   ProbeNode node(net, genesis);
 
   const Transaction tx = bid(alice, sink.address(), 30'000);
-  const std::string h = to_hex(tx.hash());
+  const Hash32 h = to_hash32(tx.hash());
   node.deliver_tx(tx);
   EXPECT_TRUE(node.has_body(h));
 

@@ -2,7 +2,7 @@
 // setup/prove/verify loop including soundness-flavoured negative cases.
 #include <gtest/gtest.h>
 
-#include "common/kernel_engine.h"
+#include "crypto/keccak.h"
 #include "snark/groth16.h"
 
 namespace zl::snark {
@@ -167,47 +167,27 @@ TEST(Domain, FftKernelMatchesTextbookBitExact) {
     for (std::size_t i = 0; i < d.size(); ++i) coeffs.push_back(Fr::random(rng));
     std::vector<Fr> kernel = coeffs, oracle = coeffs;
     d.fft(kernel);
-    {
-      ScopedKernelEngine off(false);
-      d.fft(oracle);
-    }
+    d.fft_textbook(oracle);
     EXPECT_EQ(kernel, oracle) << "fft n=" << n;
+    // The inverse is unique, so an exact round trip pins ifft as well.
     d.ifft(kernel);
-    {
-      ScopedKernelEngine off(false);
-      d.ifft(oracle);
-    }
-    EXPECT_EQ(kernel, oracle) << "ifft n=" << n;
     EXPECT_EQ(kernel, coeffs) << "round trip n=" << n;
   }
 }
 
-TEST(Groth16, KernelEngineKeysAndProofBytesIdentical) {
-  // Same setup/prove RNG seeds with the kernel engine on and off: keys and
-  // proofs must serialize to identical bytes (the engines compute identical
-  // group elements, and serialization normalizes to affine).
+TEST(Groth16, CubicKeysAndProofBytesGolden) {
+  // keccak256(vk || proof) for fixed setup/prove seeds. The digest was
+  // recorded from a build that also ran the textbook multiexp/FFT/ladder
+  // engine on this exact input and found identical bytes, so a match keeps
+  // the kernels bit-identical to the oracles end to end.
   const CubicCircuit circuit;
   const auto z = circuit.assignment(9);
-  Bytes vk_on, vk_off, proof_on, proof_off;
-  {
-    Rng rng(555);
-    const Keypair keys = setup(circuit.cs, rng);
-    const Proof proof = prove(keys.pk, circuit.cs, z, rng);
-    vk_on = keys.vk.to_bytes();
-    proof_on = proof.to_bytes();
-    EXPECT_TRUE(verify(keys.vk, {z[circuit.out]}, proof));
-  }
-  {
-    ScopedKernelEngine off(false);
-    Rng rng(555);
-    const Keypair keys = setup(circuit.cs, rng);
-    const Proof proof = prove(keys.pk, circuit.cs, z, rng);
-    vk_off = keys.vk.to_bytes();
-    proof_off = proof.to_bytes();
-    EXPECT_TRUE(verify(keys.vk, {z[circuit.out]}, proof));
-  }
-  EXPECT_EQ(vk_on, vk_off);
-  EXPECT_EQ(proof_on, proof_off);
+  Rng rng(555);
+  const Keypair keys = setup(circuit.cs, rng);
+  const Proof proof = prove(keys.pk, circuit.cs, z, rng);
+  EXPECT_TRUE(verify(keys.vk, {z[circuit.out]}, proof));
+  EXPECT_EQ(to_hex(keccak256(concat({keys.vk.to_bytes(), proof.to_bytes()}))),
+            "772c1841e57f424ad491fa571998a5f76e33e27454ffb1ec855ae445597a9ec1");
 }
 
 TEST(Domain, VanishingPolynomial) {

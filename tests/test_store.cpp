@@ -40,7 +40,7 @@ class TallyContract : public Contract {
     append_u64_be(out, total_);
     return out;
   }
-  void restore_state(const Bytes& state) override { total_ = read_u64_be(state, 0); }
+  void restore_state(const Bytes& state) override { total_ = ByteReader(state).u64(); }
 
  private:
   std::uint64_t total_ = 0;
@@ -367,7 +367,8 @@ TEST(OffChainStore, DiskBackedPutGetReopenAndCorruption) {
   EXPECT_FALSE(reopened.get(d1).has_value());
   EXPECT_EQ(reopened.get(d2), blob2);
 
-  EXPECT_THROW(OffChainStore::to_digest(to_bytes("short")), std::invalid_argument);
+  EXPECT_THROW(to_hash32(to_bytes("short")), std::invalid_argument);
+  EXPECT_FALSE(reopened.contains(Bytes(d2.begin(), d2.end() - 1))) << "31-byte digest";
 }
 
 // --- durable blockchain -----------------------------------------------------
@@ -406,6 +407,78 @@ TEST(DurableChain, ReopenRestoresHeadStateAndReceipts) {
   const TallyContract* tally = reopened.state().contract_as<TallyContract>(w.tally);
   ASSERT_NE(tally, nullptr);
   EXPECT_EQ(tally->total(), 3u + 4u);
+}
+
+// Golden bytes across builds: a fixed-seed durable chain with one reorg.
+// Checkpoint receipts and the reorg HeadEvent diff are emitted in tx-hash
+// order, so these digests pin that raw-hash order equals the lowercase-hex
+// order earlier builds sorted by: stores they wrote reopen unchanged.
+TEST(DurableChain, ReorgSnapshotAndHeadEventBytesPinned) {
+  Rng rng(4242);
+  Wallet alice(rng), bob(rng), carol(rng);
+  GenesisConfig genesis;
+  genesis.allocations = {
+      {alice.address(), 50'000'000}, {bob.address(), 50'000'000}, {carol.address(), 50'000'000}};
+  genesis.difficulty = 64;
+  const auto mine = [&](const Bytes& parent, std::uint64_t number, std::uint64_t stamp,
+                        std::vector<Transaction> txs) {
+    Block b;
+    b.header.parent_hash = parent;
+    b.header.number = number;
+    b.header.difficulty = genesis.difficulty;
+    b.header.timestamp = stamp;
+    b.transactions = std::move(txs);
+    b.header.tx_root = Block::compute_tx_root(b.transactions);
+    while (!proof_of_work_valid(b.header)) ++b.header.nonce;
+    return b;
+  };
+
+  // Main branch, heights 1..20: alice and bob each pay carol once per block.
+  std::vector<Block> blocks;
+  Bytes parent = genesis.build().hash();
+  for (std::uint64_t n = 1; n <= 20; ++n) {
+    blocks.push_back(mine(parent, n, 100 + n,
+                          {alice.make_transaction(carol.address(), n, 21000, "", {}),
+                           bob.make_transaction(carol.address(), 2 * n, 21000, "", {})}));
+    parent = blocks.back().hash();
+  }
+  // Heavier fork off height 12, heights 13..24: carol pays alice, and alice
+  // re-spends nonces 12..19 differently, so the reorg drops and confirms
+  // interleaved tx hashes.
+  alice.set_nonce(12);
+  parent = blocks[11].hash();
+  for (std::uint64_t n = 13; n <= 24; ++n) {
+    std::vector<Transaction> txs = {carol.make_transaction(alice.address(), n, 21000, "", {})};
+    if (n <= 20) txs.push_back(alice.make_transaction(bob.address(), 1000 + n, 21000, "", {}));
+    blocks.push_back(mine(parent, n, 900 + n, std::move(txs)));
+    parent = blocks.back().hash();
+  }
+
+  FaultVfs vfs(4242);
+  store::OpenOptions opts;
+  opts.vfs = &vfs;
+  opts.path = "node";
+  opts.snapshot_interval = 8;
+  Blockchain chain(genesis, opts);
+  for (const Block& b : blocks) ASSERT_TRUE(chain.add_block(b));
+  ASSERT_EQ(chain.head_hash(), blocks.back().hash());
+
+  const std::optional<store::Snapshot> newest = chain.snapshots()->load_newest();
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_EQ(newest->height, 24u);
+  EXPECT_EQ(to_hex(keccak256(newest->payload)),
+            "cf42eed36007ca4d312bc1a785ded6cc5e02e90b7deca6b9e1c4ab7ace8865e0");
+
+  Bytes events;
+  std::size_t dropped = 0;
+  for (const Blockchain::HeadEvent& ev : chain.take_head_events()) {
+    events.insert(events.end(), ev.tx_hash.begin(), ev.tx_hash.end());
+    events.push_back(ev.confirmed ? 1 : 0);
+    dropped += ev.confirmed ? 0 : 1;
+  }
+  EXPECT_EQ(dropped, 16u) << "alice's and bob's main-branch txs at heights 13..20";
+  EXPECT_EQ(to_hex(keccak256(events)),
+            "98504b5e06075996e742228d1c9f1ac93562fec9e5b2bca34c371634c34a8f19");
 }
 
 // --- the torture test -------------------------------------------------------

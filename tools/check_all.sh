@@ -104,7 +104,7 @@ run_store() {
 # follows mont_sqr; GLV refuses secret scalars). Reuses the asan/ctcheck
 # build trees, so a later full leg picks up the already-built objects.
 run_kernels() {
-  kernel_filter='^(Fp\.MontSqr|Fp\.PortableOracles|Glv\.|Multiexp\.|Domain\.FftKernel|Groth16\.KernelEngine|CtDeathTest\.|CtCheckBuild\.)'
+  kernel_filter='^(Fp\.MontSqr|Fp\.PortableOracles|Glv\.|Multiexp\.|Domain\.FftKernel|Groth16\.CubicKeysAndProofBytesGolden|CtDeathTest\.|CtCheckBuild\.)'
   build_dir="$repo_root/build-asan"
   cmake -S "$repo_root" -B "$build_dir" -G Ninja -DCMAKE_BUILD_TYPE=Release -DZL_SANITIZE=address
   cmake --build "$build_dir" --target test_field test_ec test_snark test_ct

@@ -28,11 +28,4 @@ bool all_below(const Bytes& v, std::uint8_t limit) {
   return v.size() > 0;
 }
 
-std::uint32_t legacy_shim(const Bytes& b) {
-  std::size_t off = 0;
-  // Reviewed exception: a tooling shim outside the decode path, kept on the
-  // legacy helper with an explicit, documented suppression.
-  return read_u32_be(b, off);  // zl-lint: allow(unchecked-length)
-}
-
 }  // namespace clean

@@ -3,8 +3,8 @@
 // so the helpers it calls need no declarations.
 //
 // Expected findings:
-//   unchecked-length  x4  (two legacy cursor-less helper calls, two
-//                          wraparound-prone `off + len > buf.size()` checks)
+//   unchecked-length  x2  (two wraparound-prone `off + len > buf.size()`
+//                          checks)
 //   unbounded-resize  x2  (a resize and a reserve sized by wire-derived,
 //                          uncapped lengths)
 
@@ -15,15 +15,15 @@ using Bytes = std::vector<std::uint8_t>;
 
 namespace planted {
 
-bool parse_legacy_record(const Bytes& payload, std::vector<Bytes>& items) {
+bool parse_record(Reader& r, const Bytes& payload, std::vector<Bytes>& items) {
   std::size_t off = 0;
-  // Legacy cursor-less read: the caller owns the bounds discipline.
-  const std::uint32_t len = read_u32_be(payload, off);
+  // An uncapped wire length: u32() bounds nothing.
+  const std::uint32_t len = r.u32();
   // The classic wraparound: off + len can wrap and pass the check.
   if (off + len > payload.size()) return false;
   // Wire-derived length sizes the allocation before the bytes exist.
   items.resize(len);
-  const Bytes body = read_frame(payload, off);
+  const Bytes body = r.frame(64);
   std::size_t pos = 0;
   if (pos + 9 >= body.size()) return false;
   return true;

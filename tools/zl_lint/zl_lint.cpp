@@ -40,17 +40,14 @@
 //                     the obs API (ZL_TRACE_SPAN / ZL_OBS_SCOPED_LATENCY_US
 //                     / obs::monotonic_ns) so it aggregates, exports, and
 //                     compiles out under ZL_OBS=OFF
-//   unchecked-length  legacy cursor-less decode helpers (read_u32_be /
-//                     read_u64_be / read_frame) or hand-rolled
-//                     `off + len > buf.size()` bound arithmetic in src/
-//                     outside crypto/bytes.* — the sum can wrap; all wire
-//                     decoding goes through zl::ByteReader, whose checked
-//                     reads are overflow-safe by construction
+//   unchecked-length  hand-rolled `off + len > buf.size()` bound arithmetic
+//                     in src/ outside crypto/bytes.* — the sum can wrap; all
+//                     wire decoding goes through zl::ByteReader, whose
+//                     checked reads are overflow-safe by construction
 //   unbounded-resize  resize()/reserve() sized by a wire-derived length
-//                     (a value read via .u32()/.u64()/read_u32_be/
-//                     read_u64_be) — a 4-byte length prefix must never size
-//                     an allocation directly; bound it first with
-//                     ByteReader::count(cap) or frame(cap)
+//                     (a value read via .u32()/.u64()) — a 4-byte length
+//                     prefix must never size an allocation directly; bound
+//                     it first with ByteReader::count(cap) or frame(cap)
 //
 // Suppression: append `// zl-lint: allow(<rule>[, <rule>...])` (or
 // `allow(all)`) on the offending line or the line directly above it. Every
@@ -427,14 +424,13 @@ const Rule kRules[] = {
      "through the obs API (ZL_TRACE_SPAN, ZL_OBS_SCOPED_LATENCY_US, obs::monotonic_ns) so "
      "measurements aggregate into the exported snapshot and compile out under ZL_OBS=OFF"},
     {"unchecked-length",
-     "no legacy cursor-less decode helpers (read_u32_be/read_u64_be/read_frame) and no "
-     "hand-rolled `off + len > buf.size()` bound arithmetic in src/ outside crypto/bytes.* "
-     "— the sum can wrap around; wire decoding goes through zl::ByteReader, whose checked "
-     "reads are overflow-safe by construction"},
+     "no hand-rolled `off + len > buf.size()` bound arithmetic in src/ outside "
+     "crypto/bytes.* — the sum can wrap around; wire decoding goes through zl::ByteReader, "
+     "whose checked reads are overflow-safe by construction"},
     {"unbounded-resize",
-     "no resize()/reserve() sized by a wire-derived length (a value read via .u32()/.u64()/"
-     "read_u32_be/read_u64_be) — a 4-byte length prefix must never size an allocation "
-     "directly; bound it first with ByteReader::count(cap) or frame(cap)"},
+     "no resize()/reserve() sized by a wire-derived length (a value read via .u32()/.u64()) "
+     "— a 4-byte length prefix must never size an allocation directly; bound it first with "
+     "ByteReader::count(cap) or frame(cap)"},
 };
 
 /// Types whose instances hold long-term secrets. secret-zeroize requires a
@@ -1006,8 +1002,7 @@ class Linter {
   }
 
   // Is toks[j] a call that yields a raw wire-derived length? Matches the
-  // ByteReader uncapped integer reads as member calls (`r.u32(` / `r.u64(`)
-  // and the legacy free helpers (`read_u32_be(` / `read_u64_be(`).
+  // ByteReader uncapped integer reads as member calls (`r.u32(` / `r.u64(`).
   // ByteReader::count(cap) and frame(cap) are deliberately NOT matched:
   // their results are bounded by the declared cap and safe to allocate with.
   bool is_wire_length_read(const std::vector<Token>& t, std::size_t j) const {
@@ -1015,30 +1010,15 @@ class Linter {
     if (j + 1 >= t.size() || t[j + 1].kind != TokKind::Punct || t[j + 1].text != "(") return false;
     const bool member = j > 0 && t[j - 1].kind == TokKind::Punct &&
                         (t[j - 1].text == "." || t[j - 1].text == "->");
-    if (member && (t[j].text == "u32" || t[j].text == "u64")) return true;
-    return t[j].text == "read_u32_be" || t[j].text == "read_u64_be";
+    return member && (t[j].text == "u32" || t[j].text == "u64");
   }
 
   void rule_unchecked_length(const FileUnit& u) {
     static const std::string rule = "unchecked-length";
-    static const std::set<std::string> legacy_helpers = {"read_u32_be", "read_u64_be",
-                                                         "read_frame"};
     const auto& t = u.toks;
-    // (a) Legacy cursor-less decode helpers: every call site outside the
-    // crypto/bytes.* chokepoint is a decoder that has not been migrated to
-    // the checked ByteReader cursor.
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-      if (t[i].kind != TokKind::Identifier || !legacy_helpers.count(t[i].text)) continue;
-      if (t[i + 1].kind != TokKind::Punct || t[i + 1].text != "(") continue;
-      report(u, t[i], rule,
-             "`" + t[i].text +
-                 "(` is the legacy cursor-less decode API (kept for tests/tools only): wire "
-                 "decoding in src/ goes through zl::ByteReader (crypto/bytes.h), whose "
-                 "checked reads cannot over-read or wrap the cursor");
-    }
-    // (b) Hand-rolled bound arithmetic: `off + len > buf.size()` (or `>=`) —
-    // the throw-if-out-of-bounds shape whose left-hand sum can wrap around
-    // and pass the check. `i + 1 < v.size()` loop guards use `<` and are
+    // Hand-rolled bound arithmetic: `off + len > buf.size()` (or `>=`) — the
+    // throw-if-out-of-bounds shape whose left-hand sum can wrap around and
+    // pass the check. `i + 1 < v.size()` loop guards use `<` and are
     // deliberately not matched.
     static const std::set<std::string> boundary = {";", "{", "}", "(", ",",  "&&",
                                                    "||", "=",  "?", ":", "return"};
@@ -1249,8 +1229,8 @@ int main(int argc, char** argv) {
       // bodies are the one sanctioned home of manual lock()/unlock() calls.
       unit.is_mutex_chokepoint = unit.path.find("common/mutex.h") != std::string::npos;
       // crypto/bytes.{h,cpp} IS the decode chokepoint: ByteReader's internals
-      // and the legacy helpers live there, so its raw cursor math is exempt
-      // from unchecked-length / unbounded-resize.
+      // live there, so its raw cursor math is exempt from unchecked-length /
+      // unbounded-resize.
       unit.is_bytes_chokepoint = unit.path.find("crypto/bytes.h") != std::string::npos ||
                                  unit.path.find("crypto/bytes.cpp") != std::string::npos;
       tokenize(unit, ss.str());
