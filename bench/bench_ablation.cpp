@@ -7,7 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "auth/cpl_auth.h"
-#include "crypto/ecdsa.h"
+#include "ec/ecdsa.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
 #include "ec/multiexp.h"

@@ -7,7 +7,10 @@
 //   - G1 multiexp at n = 2^10..2^16: textbook Pippenger oracle vs. the
 //     batch-affine signed-digit kernel (us/point),
 //   - radix-2 FFT at n = 2^10..2^16: textbook oracle vs. the cache-blocked
-//     kernel (ms/transform).
+//     kernel (ms/transform),
+//   - secp256k1 ECDSA verify: the two-ladder oracle (tests/oracle) vs. the
+//     joint-wNAF GLV engine (us/verify), and Keccak-256 of a 303-byte
+//     message, the size of an encoded marketplace submission (us/hash).
 //
 // The oracle/kernel comparisons run single-threaded (the kernels are
 // single-core rewrites) so the printed ratios are pure kernel effects; a
@@ -18,13 +21,18 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "crypto/keccak.h"
 #include "ec/bn254_groups.h"
+#include "ec/ecdsa.h"
 #include "ec/glv.h"
 #include "ec/multiexp.h"
+#include "oracle/ecdsa_oracle.h"
 #include "snark/domain.h"
 
 using namespace zl;
@@ -48,6 +56,18 @@ double median_seconds(int reps, Fn&& fn) {
   }
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos && colon + 2 <= line.size()) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
 }
 
 }  // namespace
@@ -98,6 +118,44 @@ int main() {
   }
   std::printf("G1 ladder    %7.1f us/mul\n", ladder_us);
   std::printf("G1 glv_mul   %7.1f us/mul   (%.2fx speedup)\n", glv_us, ladder_us / glv_us);
+
+  // --- secp256k1 ECDSA verify: two-ladder oracle vs. joint wNAF ---------
+  constexpr int kVerifyReps = 200;
+  std::vector<Bytes> pubs, msgs;
+  std::vector<EcdsaSignature> sigs;
+  for (int i = 0; i < kVerifyReps; ++i) {
+    const EcdsaKeyPair key = EcdsaKeyPair::generate(rng);
+    pubs.push_back(key.public_key_bytes());
+    msgs.push_back(to_bytes("submission " + std::to_string(i)));
+    sigs.push_back(key.sign(msgs.back(), rng));
+  }
+  (void)ecdsa_verify(pubs[0], msgs[0], sigs[0]);  // builds the static G table
+  int verified = 0;
+  const double oracle_verify_us = median_seconds(5, [&] {
+    for (int i = 0; i < kVerifyReps; ++i) {
+      verified += oracle::ecdsa_verify_two_ladder(pubs[i], msgs[i], sigs[i]) ? 1 : 0;
+    }
+  }) * 1e6 / kVerifyReps;
+  const double fast_verify_us = median_seconds(5, [&] {
+    for (int i = 0; i < kVerifyReps; ++i) {
+      verified += ecdsa_verify(pubs[i], msgs[i], sigs[i]) ? 1 : 0;
+    }
+  }) * 1e6 / kVerifyReps;
+  if (verified != 10 * kVerifyReps) {
+    std::fprintf(stderr, "FATAL: a valid signature failed to verify\n");
+    return 1;
+  }
+  std::printf("ECDSA verify oracle %7.1f us\n", oracle_verify_us);
+  std::printf("ECDSA verify fast   %7.1f us   (%.2fx speedup)\n", fast_verify_us,
+              oracle_verify_us / fast_verify_us);
+
+  constexpr int kHashReps = 20'000;
+  const Bytes tx_sized(303, 0x5a);
+  Bytes digest;
+  const double keccak_us = median_seconds(5, [&] {
+    for (int i = 0; i < kHashReps; ++i) digest = keccak256(tx_sized);
+  }) * 1e6 / kHashReps;
+  std::printf("keccak256 303 B    %7.2f us/hash (%02x)\n", keccak_us, digest[0]);
 
   // --- G1 multiexp: textbook Pippenger vs. batch-affine kernel ----------
   struct MultiexpRow {
@@ -239,6 +297,22 @@ int main() {
     return 1;
   }
   std::fprintf(json, "{\n");
+#if defined(ZL_NATIVE)
+  const bool zl_native = true;
+#else
+  const bool zl_native = false;
+#endif
+  std::fprintf(json,
+               "  \"host\": {\"cpu_model\": \"%s\", \"hardware_threads\": %u, "
+               "\"compiler\": \"%s\", \"build_type\": \"%s\", "
+               "\"zl_native\": %s},\n",
+               cpu_model().c_str(), hardware_threads, ZL_BENCH_COMPILER, ZL_BENCH_BUILD_TYPE,
+               zl_native ? "true" : "false");
+  std::fprintf(json,
+               "  \"ecdsa_verify_us\": {\"oracle\": %.1f, \"fast\": %.1f, "
+               "\"speedup\": %.3f},\n",
+               oracle_verify_us, fast_verify_us, oracle_verify_us / fast_verify_us);
+  std::fprintf(json, "  \"keccak256_303B_us\": %.3f,\n", keccak_us);
   std::fprintf(json,
                "  \"field\": {\"mont_mul_ns\": %.2f, \"mont_sqr_ns\": %.2f, "
                "\"sqr_over_mul\": %.3f},\n",

@@ -41,7 +41,8 @@ Mempool::Admission record_admission(Mempool::Admission a) {
 
 }  // namespace
 
-Mempool::Admission Mempool::admit(const Transaction& tx, std::uint64_t chain_nonce) {
+Mempool::Admission Mempool::admit(const Transaction& tx, const Hash32& tx_hash,
+                                  std::uint64_t chain_nonce) {
   // Stateless checks run before the lock so ECDSA verification — by far the
   // most expensive step — never serializes concurrent gossip threads. This
   // preserves admission results: a transaction failing any of these checks
@@ -49,7 +50,6 @@ Mempool::Admission Mempool::admit(const Transaction& tx, std::uint64_t chain_non
   // so the duplicate/replacement logic below can never disagree with a
   // pre-lock rejection. The only observable difference is which rejection
   // code a multiply-invalid transaction gets — never whether it is accepted.
-  const Hash32 h = to_hash32(tx.hash());
   if (tx.nonce < chain_nonce) return record_admission(Admission::kNonceTooLow);
   if (tx.gas_limit < tx.intrinsic_gas()) return record_admission(Admission::kInvalid);
   // An escrow whose gas_limit + value wraps uint64 can never be funded, yet
@@ -57,10 +57,10 @@ Mempool::Admission Mempool::admit(const Transaction& tx, std::uint64_t chain_non
   // the top of every block template. Refuse it at the gate.
   if (tx.value > std::numeric_limits<std::uint64_t>::max() - tx.gas_limit)
     return record_admission(Admission::kInvalid);
-  if (!tx.verify_signature()) return record_admission(Admission::kInvalid);
+  if (!tx.verify_signature(tx_hash)) return record_admission(Admission::kInvalid);
 
   MutexLock lock(mu_);
-  if (by_hash_.contains(h)) return record_admission(Admission::kDuplicate);
+  if (by_hash_.contains(tx_hash)) return record_admission(Admission::kDuplicate);
 
   const std::uint64_t fee = fee_of(tx);
   bool replacing = false;
@@ -84,8 +84,8 @@ Mempool::Admission Mempool::admit(const Transaction& tx, std::uint64_t chain_non
   SenderChain& chain = by_sender_[tx.from];
   if (replacing) unlink(chain, chain.find(tx.nonce));
 
-  Entry entry{tx, h, fee, next_seq_++};
-  by_hash_[h] = {tx.from, tx.nonce};
+  Entry entry{tx, tx_hash, fee, next_seq_++};
+  by_hash_[tx_hash] = {tx.from, tx.nonce};
   by_fee_[{fee, entry.seq}] = {tx.from, tx.nonce};
   chain.emplace(tx.nonce, std::move(entry));
   version_.fetch_add(1, std::memory_order_release);

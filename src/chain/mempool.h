@@ -85,7 +85,14 @@ class Mempool {
 
   /// Admit `tx` given the sender's current chain nonce. Counts as accepted
   /// (worth re-gossiping) when the result is kAdmitted or kReplaced.
-  Admission admit(const Transaction& tx, std::uint64_t chain_nonce) ZL_EXCLUDES(mu_);
+  Admission admit(const Transaction& tx, std::uint64_t chain_nonce) ZL_EXCLUDES(mu_) {
+    return admit(tx, to_hash32(tx.hash()), chain_nonce);
+  }
+  /// The same, for a caller already holding `tx_hash` == tx.hash(): the
+  /// transaction is not re-serialized and re-hashed for the pool index or
+  /// the signature check.
+  Admission admit(const Transaction& tx, const Hash32& tx_hash, std::uint64_t chain_nonce)
+      ZL_EXCLUDES(mu_);
   static bool accepted(Admission a) {
     return a == Admission::kAdmitted || a == Admission::kReplaced;
   }

@@ -77,7 +77,7 @@ void Node::accept_transaction(const Transaction& tx, bool rebroadcast) {
   if (seen_.contains(h)) return;
   // Admission verifies the signature (memoized), enforces nonce/fee rules
   // and replacement-by-fee; only transactions worth relaying propagate.
-  const Mempool::Admission verdict = mempool_.admit(tx, chain_.state().nonce_of(tx.from));
+  const Mempool::Admission verdict = mempool_.admit(tx, h, chain_.state().nonce_of(tx.from));
   // A full pool is a transient condition, not a verdict on the transaction:
   // leave it unseen so a later re-gossip can retry once the pool drains.
   if (verdict == Mempool::Admission::kPoolFull) return;
@@ -100,7 +100,7 @@ void Node::sync_mempool_with_chain() {
       // Reorged off the canonical chain: back to pending so miners can
       // re-include it (bodies confirmed before this process started are not
       // in known_txs_ and stay dropped, as before durable recovery).
-      mempool_.admit(it->second, chain_.state().nonce_of(it->second.from));
+      mempool_.admit(it->second, it->first, chain_.state().nonce_of(it->second.from));
     }
   }
   // Prune bodies whose confirmation is buried deeper than the reorg

@@ -90,13 +90,14 @@ Transaction Transaction::from_bytes(const Bytes& bytes) {
 
 Bytes Transaction::hash() const { return keccak256(to_bytes()); }
 
-bool Transaction::verify_signature() const {
+bool Transaction::verify_signature() const { return verify_signature(to_hash32(hash())); }
+
+bool Transaction::verify_signature(const Hash32& tx_hash) const {
   if (pubkey.size() != 65 || signature.size() != 64) return false;
-  const Hash32 key = to_hash32(hash());
   SignatureVerdictCache& cache = signature_verdict_cache();
   {
     const MutexLock lock(cache.mutex);
-    const auto it = cache.verdicts.find(key);
+    const auto it = cache.verdicts.find(tx_hash);
     if (it != cache.verdicts.end()) {
       ZL_OBS_COUNTER_ADD("validation.sig_cache.hit", 1);
       return it->second;
@@ -114,7 +115,7 @@ bool Transaction::verify_signature() const {
   {
     const MutexLock lock(cache.mutex);
     if (cache.verdicts.size() >= SignatureVerdictCache::kMaxEntries) cache.verdicts.clear();
-    cache.verdicts.emplace(key, ok);
+    cache.verdicts.emplace(tx_hash, ok);
   }
   return ok;
 }

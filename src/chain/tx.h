@@ -8,7 +8,7 @@
 #include <string>
 
 #include "chain/address.h"
-#include "crypto/ecdsa.h"
+#include "ec/ecdsa.h"
 
 namespace zl::chain {
 
@@ -41,6 +41,9 @@ struct Transaction {
   /// The hash covers every field (including pubkey and signature), so a
   /// mutated copy self-invalidates under a new key.
   bool verify_signature() const;
+  /// The same, for a caller already holding hash(): `tx_hash` must be this
+  /// transaction's hash as it stands now, since it keys the shared memo.
+  bool verify_signature(const Hash32& tx_hash) const;
 
   /// Intrinsic gas: base + calldata (+ creation surcharge).
   std::uint64_t intrinsic_gas() const;

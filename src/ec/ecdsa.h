@@ -46,8 +46,17 @@ class EcdsaKeyPair {
 };
 
 /// Verify a signature over `message` against an uncompressed public key.
+/// Runs u1*G + u2*Q through secp_joint_mul and compares x(R) against r in
+/// Jacobian coordinates, so no field inversion is paid per call.
 bool ecdsa_verify(const Bytes& public_key_bytes, const Bytes& message,
                   const EcdsaSignature& sig);
+
+/// u1*G + u2*Q, the ECDSA verification equation: both scalars split by the
+/// secp256k1 GLV endomorphism, the four half-scalars run in wNAF over one
+/// shared doubling chain, G's odd multiples come from a static affine table.
+/// Variable-time in u1 and u2, so PUBLIC scalars only: a tainted scalar
+/// trips the CT harness (glv_decompose's ct::branch guard).
+SecpPoint secp_joint_mul(const BigInt& u1, const SecpPoint& q, const BigInt& u2);
 
 /// Address derivation from a serialized public key.
 Bytes ecdsa_address(const Bytes& public_key_bytes);

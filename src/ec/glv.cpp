@@ -20,48 +20,21 @@ BigInt vec_norm2(const BigInt& a, const BigInt& b) { return a * a + b * b; }
 
 }  // namespace
 
-const Fq& glv_beta_fq() {
-  static const Fq beta = [] {
-    const BigInt& q = Fq::modulus_bigint();
-    if ((q - 1) % 3 != 0) throw std::logic_error("glv: q must be 1 mod 3 on a j=0 curve");
-    // Raise small bases to (q-1)/3 until the result is != 1. Any such value
-    // has multiplicative order exactly 3 (a primitive cube root).
-    const BigInt qexp = (q - 1) / 3;
-    for (std::uint64_t i = 2;; ++i) {
-      const Fq cand = Fq::from_u64(i).pow(qexp);
-      if (!(cand == Fq::one())) {
-        if (!(cand * cand * cand == Fq::one())) {
-          throw std::logic_error("glv: beta is not a cube root of unity");
-        }
-        return cand;
-      }
+std::array<BigInt, 2> glv_lambda_candidates(const BigInt& r) {
+  if ((r - 1) % 3 != 0) throw std::logic_error("glv: r must be 1 mod 3");
+  const BigInt rexp = (r - 1) / 3;
+  for (unsigned long i = 2;; ++i) {
+    const BigInt lam = mod_pow(BigInt(i), rexp, r);
+    if (lam != 1) {
+      // lambda^2 + lambda + 1 == 0 (mod r) for a primitive cube root.
+      const BigInt rel = (lam * lam + lam + 1) % r;
+      if (rel != 0) throw std::logic_error("glv: lambda is not a primitive cube root");
+      return std::array<BigInt, 2>{lam, (lam * lam) % r};
     }
-  }();
-  return beta;
+  }
 }
 
-const std::array<BigInt, 2>& glv_lambda_candidates() {
-  static const std::array<BigInt, 2> lambdas = [] {
-    const BigInt& r = Fr::modulus_bigint();
-    if ((r - 1) % 3 != 0) throw std::logic_error("glv: r must be 1 mod 3");
-    const BigInt rexp = (r - 1) / 3;
-    for (std::uint64_t i = 2;; ++i) {
-      const Fr cand = Fr::from_u64(i).pow(rexp);
-      if (!(cand == Fr::one())) {
-        const BigInt lam = cand.to_bigint();
-        // lambda^2 + lambda + 1 == 0 (mod r) for a primitive cube root.
-        BigInt rel = (lam * lam + lam + 1) % r;
-        if (rel < 0) rel += r;
-        if (rel != 0) throw std::logic_error("glv: lambda is not a primitive cube root");
-        return std::array<BigInt, 2>{lam, (lam * lam) % r};
-      }
-    }
-  }();
-  return lambdas;
-}
-
-GlvLattice glv_lattice(const BigInt& lambda) {
-  const BigInt& r = Fr::modulus_bigint();
+GlvLattice glv_lattice(const BigInt& lambda, const BigInt& r) {
   // Extended Euclid on (r, lambda) (GLV'01 §4): every row satisfies
   // s_i*r + t_i*lambda = rem_i, so (rem_i, -t_i) is a lattice vector. Stop
   // at the first remainder below sqrt(r); that row and the shorter of its
@@ -84,6 +57,7 @@ GlvLattice glv_lattice(const BigInt& lambda) {
   const BigInt rem2 = rem0 - quot * rem1;
   const BigInt t2 = t0 - quot * t1;
   GlvLattice lat;
+  lat.r = r;
   lat.a1 = rem1;
   lat.b1 = -t1;
   if (vec_norm2(rem0, t0) <= vec_norm2(rem2, t2)) {
@@ -106,7 +80,7 @@ GlvLattice glv_lattice(const BigInt& lambda) {
 }
 
 GlvDecomposition glv_decompose_lattice(const BigInt& k, const GlvLattice& lat) {
-  const BigInt& r = Fr::modulus_bigint();
+  const BigInt& r = lat.r;
   BigInt kr = k % r;
   if (kr < 0) kr += r;
   // Babai rounding: solve (k, 0) = c1*v1 + c2*v2 over Q and round each

@@ -1,14 +1,15 @@
 #pragma once
-// GLV endomorphism scalar multiplication for BN254 G1 and G2 (DESIGN.md §11).
+// GLV endomorphism scalar multiplication on j-invariant-0 curves: BN254 G1
+// and G2 (DESIGN.md §11) and secp256k1 (the ECDSA verifier, ec/ecdsa.h).
 //
-// Both groups live on j-invariant-0 curves, so x -> s*x for a cube root of
-// unity s in the coordinate field is a group endomorphism phi with
-// phi(P) = lambda*P on the order-r subgroup, where lambda is a cube root of
-// unity in Fr (lambda^2 + lambda + 1 = 0 mod r). For G1 the scale is a cube
-// root beta in Fq; for G2 the same beta embedded into Fq2 works, since
-// (beta*x)^3 = x^3 on the twist as well. A 254-bit scalar k then splits into
-// two ~127-bit half-scalars k = k1 + k2*lambda (mod r) via Babai rounding on
-// the lattice of vectors (a, b) with a + b*lambda = 0 (mod r), and k*P is
+// On y^2 = x^3 + b, x -> s*x for a cube root of unity s in the coordinate
+// field is a group endomorphism phi with phi(P) = lambda*P on the prime
+// order-r subgroup, where lambda is a cube root of unity mod r
+// (lambda^2 + lambda + 1 = 0 mod r). The scale is a cube root beta in the
+// curve's prime field; for BN254 G2 the same beta embedded into Fq2 works,
+// since (beta*x)^3 = x^3 on the twist as well. A scalar k then splits into
+// two half-width half-scalars k = k1 + k2*lambda (mod r) via Babai rounding
+// on the lattice of vectors (a, b) with a + b*lambda = 0 (mod r), and k*P is
 // computed as the joint multi-scalar k1*P + k2*phi(P) — half the doublings
 // of the plain ladder.
 //
@@ -19,9 +20,10 @@
 //
 // SECRET-SCALAR POLICY: decomposition and the joint ladder are variable-time
 // in the scalar, so every entry point guards with ct::branch and the CT
-// harness aborts on tainted input. Secret scalars (prover randomness r, s)
-// must stay on WeierstrassPoint::mul_blinded; GLV is for public scalars only
-// (verifier inputs, setup powers, bucket work in the public multiexp).
+// harness aborts on tainted input. Secret scalars (prover randomness r, s;
+// ECDSA keys and nonces) must stay on WeierstrassPoint::mul_blinded; GLV is
+// for public scalars only (verifier inputs, setup powers, bucket work in the
+// public multiexp).
 
 #include <array>
 #include <stdexcept>
@@ -29,6 +31,7 @@
 
 #include "common/ct.h"
 #include "ec/bn254_groups.h"
+#include "ec/secp256k1.h"
 
 namespace zl {
 
@@ -40,21 +43,51 @@ struct GlvDecomposition {
 
 namespace detail {
 
-/// Short lattice basis v1 = (a1, b1), v2 = (a2, b2); each satisfies
-/// a + b*lambda == 0 (mod r) with ~sqrt(r) components.
+/// Short lattice basis v1 = (a1, b1), v2 = (a2, b2) for the group order r;
+/// each satisfies a + b*lambda == 0 (mod r) with ~sqrt(r) components.
 struct GlvLattice {
   BigInt a1, b1, a2, b2;
+  BigInt r;
 };
 
-/// A primitive cube root of unity in Fq (self-verified).
-const Fq& glv_beta_fq();
+/// The prime field a coordinate field is built over: the field beta lives in.
+template <typename Field>
+struct PrimeSubfield {
+  using type = Field;
+};
+template <>
+struct PrimeSubfield<Fq2> {
+  using type = Fq;
+};
 
-/// The two primitive cube roots of unity mod r: {lambda, lambda^2}.
-const std::array<BigInt, 2>& glv_lambda_candidates();
+/// A primitive cube root of unity in the prime field F (self-verified).
+template <typename F>
+const F& glv_cube_root() {
+  static const F beta = [] {
+    const BigInt& q = F::modulus_bigint();
+    if ((q - 1) % 3 != 0) throw std::logic_error("glv: q must be 1 mod 3 on a j=0 curve");
+    // Raise small bases to (q-1)/3 until the result is != 1. Any such value
+    // has multiplicative order exactly 3 (a primitive cube root).
+    const BigInt qexp = (q - 1) / 3;
+    for (std::uint64_t i = 2;; ++i) {
+      const F cand = F::from_u64(i).pow(qexp);
+      if (!(cand == F::one())) {
+        if (!(cand * cand * cand == F::one())) {
+          throw std::logic_error("glv: beta is not a cube root of unity");
+        }
+        return cand;
+      }
+    }
+  }();
+  return beta;
+}
 
-/// Short basis for the given eigenvalue via the extended Euclidean
+/// The two primitive cube roots of unity mod the prime r: {lambda, lambda^2}.
+std::array<BigInt, 2> glv_lambda_candidates(const BigInt& r);
+
+/// Short basis for the eigenvalue lambda mod r via the extended Euclidean
 /// algorithm on (r, lambda); self-checks membership and determinant.
-GlvLattice glv_lattice(const BigInt& lambda);
+GlvLattice glv_lattice(const BigInt& lambda, const BigInt& r);
 
 /// Babai rounding of k against the basis (no taint guard: callers guard).
 GlvDecomposition glv_decompose_lattice(const BigInt& k, const GlvLattice& lat);
@@ -72,24 +105,26 @@ template <typename Point>
 const GlvCurve<Point>& glv_curve() {
   static const GlvCurve<Point> c = [] {
     using Field = typename Point::Field;
-    const Fq& beta = glv_beta_fq();
-    const auto embed = [](const Fq& b) {
-      if constexpr (std::is_same_v<Field, Fq>) {
+    using Prime = typename PrimeSubfield<Field>::type;
+    const Prime& beta = glv_cube_root<Prime>();
+    const auto embed = [](const Prime& b) {
+      if constexpr (std::is_same_v<Field, Prime>) {
         return b;
       } else {
-        return Field(b, Fq::zero());
+        return Field(b, Prime::zero());
       }
     };
     const Point gen = Point::generator();
+    const BigInt& r = Point::order();
     // Exactly one of the four (scale, eigenvalue) pairings matches this
     // group's restriction of the automorphism; find and verify it.
-    for (const Fq& b : {beta, beta * beta}) {
+    for (const Prime& b : {beta, beta * beta}) {
       const Field scale = embed(b);
       const Point phi_gen = Point::from_jacobian_unchecked(scale * gen.jacobian_x(),
                                                            gen.jacobian_y(), gen.jacobian_z());
-      for (const BigInt& lam : glv_lambda_candidates()) {
+      for (const BigInt& lam : glv_lambda_candidates(r)) {
         if (gen * lam == phi_gen) {
-          return GlvCurve<Point>{scale, lam, glv_lattice(lam)};
+          return GlvCurve<Point>{scale, lam, glv_lattice(lam, r)};
         }
       }
     }
@@ -100,7 +135,7 @@ const GlvCurve<Point>& glv_curve() {
 
 }  // namespace detail
 
-/// phi(P): one coordinate-field multiplication instead of a 254-bit ladder.
+/// phi(P): one coordinate-field multiplication instead of a full ladder.
 template <typename Point>
 Point glv_endomorphism(const Point& p) {
   if (p.is_infinity()) return p;

@@ -102,6 +102,14 @@ class WeierstrassPoint {
   /// workhorse of the batch-affine multiexp: thousands of points share one
   /// inverse() instead of paying one each.
   static std::vector<Affine> normalize(const std::vector<WeierstrassPoint>& points) {
+    return normalize(points, [](const Field& f) { return f.inverse(); });
+  }
+
+  /// normalize() with the one inversion supplied by the caller: callers
+  /// whose points are public may pass a faster variable-time inverse.
+  template <typename Invert>
+  static std::vector<Affine> normalize(const std::vector<WeierstrassPoint>& points,
+                                       Invert&& invert) {
     std::vector<Affine> out(points.size());
     std::vector<Field> zs;
     zs.reserve(points.size());
@@ -117,7 +125,7 @@ class WeierstrassPoint {
         prefix[i] = acc;
         acc *= zs[i];
       }
-      Field inv = acc.inverse();
+      Field inv = invert(acc);
       for (std::size_t i = zs.size(); i-- > 0;) {
         const Field zi = inv * prefix[i];
         inv *= zs[i];

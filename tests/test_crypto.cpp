@@ -122,6 +122,25 @@ TEST(Keccak, MultiBlockInput) {
   EXPECT_NE(keccak256(data), keccak256(Bytes(501, 0x61)));
 }
 
+// Digests of n bytes of 'a' on both sides of each 136-byte rate boundary:
+// the empty and one-short-of-a-block pads, exactly one and two full blocks
+// (padding then fills a block of its own), and a multi-block tail. Recorded
+// with the loop-form permutation this file shipped before the unrolled one.
+TEST(Keccak, RateBoundaryKnownAnswers) {
+  const std::pair<std::size_t, const char*> vectors[] = {
+      {0, "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"},
+      {135, "34367dc248bbd832f4e3e69dfaac2f92638bd0bbd18f2912ba4ef454919cf446"},
+      {136, "a6c4d403279fe3e0af03729caada8374b5ca54d8065329a3ebcaeb4b60aa386e"},
+      {137, "d869f639c7046b4929fc92a4d988a8b22c55fbadb802c0c66ebcd484f1915f39"},
+      {271, "132f47effd6c8b1b299efa53fe68aece77ec8ae4eb2e294f668eec94f76001e1"},
+      {272, "cf7fcd4f705ee749930d19ca84561a9bf62516bd90a471545fa2f49fdc7e63c8"},
+      {500, "459d4d3dec1737165314cd15cafa5da1b779b796156dcb87415ee2ddc1dd417e"},
+  };
+  for (const auto& [len, digest] : vectors) {
+    EXPECT_EQ(to_hex(keccak256(Bytes(len, 0x61))), digest) << len << " bytes";
+  }
+}
+
 TEST(Rng, DeterministicGivenSeed) {
   Rng a(42), b(42), c(43);
   const Bytes ba = a.bytes(64), bb = b.bytes(64), bc = c.bytes(64);

@@ -22,7 +22,7 @@
 #include "common/ct.h"
 #include "crypto/bigint.h"
 #include "crypto/bytes.h"
-#include "crypto/ecdsa.h"
+#include "ec/ecdsa.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
 #include "ec/glv.h"
@@ -194,6 +194,27 @@ TEST(CtDeathTest, GlvMulOnSecretScalarAborts) {
         const BigInt k = bigint_from_decimal("987654321987654321");
         ct::poison(k);
         (void)glv_mul(G1::generator(), k);
+      },
+      "variable-time");
+}
+
+TEST(CtDeathTest, EcdsaJointMulOnSecretScalarAborts) {
+  // The verifier's joint multiplication decomposes both scalars with GLV and
+  // walks their wNAF digits: public scalars only, either one poisoned dies.
+  EXPECT_DEATH(
+      {
+        ct::enable();
+        const BigInt u1 = bigint_from_decimal("1311768467294899695");
+        ct::poison(u1);
+        (void)secp_joint_mul(u1, SecpPoint::generator(), BigInt(7));
+      },
+      "variable-time");
+  EXPECT_DEATH(
+      {
+        ct::enable();
+        const BigInt u2 = bigint_from_decimal("987654321987654321");
+        ct::poison(u2);
+        (void)secp_joint_mul(BigInt(7), SecpPoint::generator(), u2);
       },
       "variable-time");
 }

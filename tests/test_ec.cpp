@@ -195,6 +195,27 @@ void check_glv_mul(std::uint64_t seed) {
 TEST(Glv, MulMatchesLadderOnG1) { check_glv_mul<G1>(61); }
 TEST(Glv, MulMatchesLadderOnG2) { check_glv_mul<G2>(62); }
 
+// The same machinery derives secp256k1's constants (the ECDSA verifier's
+// split): phi matches lambda, and the decomposition mod n recombines with
+// half-scalars of at most ~129 bits.
+TEST(Glv, Secp256k1EndomorphismDecompositionAndMul) {
+  check_glv_endomorphism<SecpPoint>();
+  check_glv_mul<SecpPoint>(63);
+  const BigInt& n = SecpPoint::order();
+  const BigInt& lam = detail::glv_curve<SecpPoint>().lambda;
+  Rng rng(64);
+  std::vector<BigInt> ks = {BigInt(0), BigInt(1), BigInt(n - 1), lam, BigInt(n - lam)};
+  for (int i = 0; i < 40; ++i) ks.push_back(random_below(rng, n));
+  for (const BigInt& k : ks) {
+    const GlvDecomposition d = glv_decompose<SecpPoint>(k);
+    BigInt back = (d.k1 + d.k2 * lam - k) % n;
+    if (back < 0) back += n;
+    EXPECT_EQ(back, 0) << "k = " << k;
+    EXPECT_LT(abs(d.k1), BigInt(1) << 129);
+    EXPECT_LT(abs(d.k2), BigInt(1) << 129);
+  }
+}
+
 template <typename Point>
 void check_kernel_vs_textbook(std::uint64_t seed) {
   // Adversarial input mix: infinities, zero / one / -1 scalars, duplicated

@@ -15,7 +15,7 @@
 #include "chain/light_client.h"
 #include "chain/state.h"
 #include "chain/tx.h"
-#include "crypto/ecdsa.h"
+#include "ec/ecdsa.h"
 #include "crypto/rsa.h"
 #include "ec/serialize.h"
 #include "snark/groth16.h"

@@ -98,21 +98,23 @@ run_store() {
     -R '^(FaultVfs|Wal|SnapshotStore|OffChainStore|DurableChain|Torture|Blockchain)\.' "$@"
 }
 
-# Kernel-engine leg: builds only the four test binaries that carry the
-# kernel-vs-oracle pins and runs them twice — an ASan pass (memory bugs in
-# the batch-affine scheduler / FFT tiling) and a ZL_CT_CHECK pass (taint
-# follows mont_sqr; GLV refuses secret scalars). Reuses the asan/ctcheck
+# Kernel-engine leg: builds only the six test binaries that carry the
+# kernel-vs-oracle pins (including the ECDSA verifier against its two-ladder
+# oracle and the Keccak known answers) and runs them twice — an ASan pass
+# (memory bugs in the batch-affine scheduler / FFT tiling / wNAF tables) and
+# a ZL_CT_CHECK pass (taint follows mont_sqr; GLV and the ECDSA joint
+# multiplication refuse secret scalars). Reuses the asan/ctcheck
 # build trees, so a later full leg picks up the already-built objects.
 run_kernels() {
-  kernel_filter='^(Fp\.MontSqr|Fp\.PortableOracles|Glv\.|Multiexp\.|Domain\.FftKernel|Groth16\.CubicKeysAndProofBytesGolden|CtDeathTest\.|CtCheckBuild\.)'
+  kernel_filter='^(Fp\.MontSqr|Fp\.PortableOracles|Glv\.|Multiexp\.|Domain\.FftKernel|Groth16\.CubicKeysAndProofBytesGolden|Ecdsa\..*(Oracle|Golden)|Keccak\.|CtDeathTest\.|CtCheckBuild\.)'
   build_dir="$repo_root/build-asan"
   cmake -S "$repo_root" -B "$build_dir" -G Ninja -DCMAKE_BUILD_TYPE=Release -DZL_SANITIZE=address
-  cmake --build "$build_dir" --target test_field test_ec test_snark test_ct
+  cmake --build "$build_dir" --target test_field test_ec test_snark test_ct test_pkc test_crypto
   ASAN_OPTIONS="detect_leaks=1:halt_on_error=1:abort_on_error=1" \
     ctest --test-dir "$build_dir" --output-on-failure -R "$kernel_filter" "$@"
   build_dir="$repo_root/build-ctcheck"
   cmake -S "$repo_root" -B "$build_dir" -G Ninja -DCMAKE_BUILD_TYPE=Release -DZL_CT_CHECK=ON
-  cmake --build "$build_dir" --target test_field test_ec test_snark test_ct
+  cmake --build "$build_dir" --target test_field test_ec test_snark test_ct test_pkc test_crypto
   ctest --test-dir "$build_dir" --output-on-failure -R "$kernel_filter" "$@"
 }
 
