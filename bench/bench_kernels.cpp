@@ -21,11 +21,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_host.h"
 #include "common/thread_pool.h"
 #include "crypto/keccak.h"
 #include "ec/bn254_groups.h"
@@ -56,18 +56,6 @@ double median_seconds(int reps, Fn&& fn) {
   }
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
-}
-
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto colon = line.find(':');
-    if (line.rfind("model name", 0) == 0 && colon != std::string::npos && colon + 2 <= line.size()) {
-      return line.substr(colon + 2);
-    }
-  }
-  return "unknown";
 }
 
 }  // namespace
@@ -297,17 +285,7 @@ int main() {
     return 1;
   }
   std::fprintf(json, "{\n");
-#if defined(ZL_NATIVE)
-  const bool zl_native = true;
-#else
-  const bool zl_native = false;
-#endif
-  std::fprintf(json,
-               "  \"host\": {\"cpu_model\": \"%s\", \"hardware_threads\": %u, "
-               "\"compiler\": \"%s\", \"build_type\": \"%s\", "
-               "\"zl_native\": %s},\n",
-               cpu_model().c_str(), hardware_threads, ZL_BENCH_COMPILER, ZL_BENCH_BUILD_TYPE,
-               zl_native ? "true" : "false");
+  std::fprintf(json, "  %s,\n", zl::bench::host_json(hardware_threads).c_str());
   std::fprintf(json,
                "  \"ecdsa_verify_us\": {\"oracle\": %.1f, \"fast\": %.1f, "
                "\"speedup\": %.3f},\n",

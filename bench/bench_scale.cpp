@@ -12,6 +12,9 @@
 //     simulated worker submissions through the deterministic SimNetwork
 //     (miners + observer), measuring wall-clock tx/s ingest, blocks to
 //     quiescence (every submission confirmed at the observer), and peak RSS.
+//     Under --smoke the flood also runs with the serial oracle (1 thread,
+//     prevalidation and batched pre-verification off) first, and the
+//     observer's head hash and state bytes must match the parallel run's.
 //
 // The workload uses a lightweight "microtask" contract registered by this
 // binary: deploy stores the task id, submit appends (sender, payload digest)
@@ -25,10 +28,12 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_host.h"
 #include "chain/network.h"
 #include "chain/validation.h"
 #include "common/thread_pool.h"
@@ -222,6 +227,8 @@ struct TestnetResult {
   std::uint64_t sim_ms = 0;
   std::uint64_t blocks_to_quiescence = 0;
   bool all_confirmed = false;
+  Bytes head_hash;    // observer's, at quiescence
+  Bytes state_bytes;  // observer's state snapshot, at quiescence
 };
 
 // Phase B: flood the deterministic testnet and measure end-to-end chain
@@ -301,6 +308,8 @@ TestnetResult run_testnet_phase(std::size_t num_contracts, std::size_t num_submi
   result.blocks_to_quiescence = observer.chain().height() - deploy_height;
   result.ingest_tx_per_s =
       result.wall_s > 0.0 ? static_cast<double>(num_submissions) / result.wall_s : 0.0;
+  result.head_hash = observer.chain().head_hash();
+  result.state_bytes = observer.chain().state().snapshot_bytes().value_or(Bytes{});
   return result;
 }
 
@@ -339,7 +348,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FATAL: parallel validation diverged from the serial oracle\n");
     return 1;
   }
+
+  // Phase B's bit-identity gate: the serial oracle floods first, so the
+  // timed parallel run below starts from cold caches and a clean registry.
+  std::optional<TestnetResult> serial;
+  if (smoke) {
+    std::fprintf(stderr, "[testnet] serial oracle (1 thread, cold caches)...\n");
+    set_parallel_validation(false);
+    zl::set_num_threads(1);
+    clear_validation_caches();
+    serial = run_testnet_phase(net_contracts, net_submissions, net_wallets);
+    set_parallel_validation(true);
+  }
   zl::set_num_threads(parallel_threads);
+  clear_validation_caches();
 
   // Phase B runs with a clean registry so the obs section below reflects the
   // testnet churn alone (cache hit rates, span totals), not phase A.
@@ -350,6 +372,11 @@ int main(int argc, char** argv) {
   const TestnetResult tn = run_testnet_phase(net_contracts, net_submissions, net_wallets);
   if (!tn.all_confirmed) {
     std::fprintf(stderr, "FATAL: testnet did not quiesce within the deadline\n");
+    return 1;
+  }
+  if (serial && !(serial->all_confirmed && !tn.state_bytes.empty() &&
+                  serial->head_hash == tn.head_hash && serial->state_bytes == tn.state_bytes)) {
+    std::fprintf(stderr, "FATAL: the parallel testnet flood diverged from the serial oracle\n");
     return 1;
   }
 
@@ -371,10 +398,11 @@ int main(int argc, char** argv) {
   }
   std::printf("  bit_identical=%s\n", val.bit_identical ? "true" : "false");
   std::printf("testnet:    %zu contracts, %zu submissions  %.0f tx/s ingest  %llu blocks to "
-              "quiescence  (%.1fs wall, %llu sim-ms)\n",
+              "quiescence  (%.1fs wall, %llu sim-ms)%s\n",
               tn.contracts, tn.submissions, tn.ingest_tx_per_s,
               static_cast<unsigned long long>(tn.blocks_to_quiescence), tn.wall_s,
-              static_cast<unsigned long long>(tn.sim_ms));
+              static_cast<unsigned long long>(tn.sim_ms),
+              serial ? "  serial_identical=true" : "");
   std::printf("peak RSS:   %.1f MiB\n", rss_mb);
 
   const char* json_path = "BENCH_scale.json";
@@ -385,6 +413,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n"
+               "  %s,\n"
                "  \"smoke\": %s,\n"
                "  \"hardware_threads\": %u,\n"
                "  \"validation\": {\n"
@@ -393,7 +422,8 @@ int main(int argc, char** argv) {
                "    \"serial_s\": %.6f,\n"
                "    \"parallel_s\": %.6f,\n"
                "    \"parallel_threads\": %u,\n",
-               smoke ? "true" : "false", hardware_threads, val.blocks, val.txs, val.serial_s,
+               zl::bench::host_json(hardware_threads).c_str(), smoke ? "true" : "false",
+               hardware_threads, val.blocks, val.txs, val.serial_s,
                val.parallel_s, parallel_threads);
   if (speedup_meaningful) {
     std::fprintf(f, "    \"speedup\": %.3f,\n", speedup);
@@ -414,13 +444,14 @@ int main(int argc, char** argv) {
                "    \"wall_s\": %.3f,\n"
                "    \"sim_ms\": %llu,\n"
                "    \"blocks_to_quiescence\": %llu,\n"
-               "    \"all_confirmed\": %s\n"
+               "    \"all_confirmed\": %s,\n"
+               "    \"serial_identical\": %s\n"
                "  },\n"
                "  \"peak_rss_mb\": %.1f,\n",
                val.bit_identical ? "true" : "false", tn.contracts, tn.submissions, tn.wallets,
                tn.ingest_tx_per_s, tn.wall_s, static_cast<unsigned long long>(tn.sim_ms),
                static_cast<unsigned long long>(tn.blocks_to_quiescence),
-               tn.all_confirmed ? "true" : "false", rss_mb);
+               tn.all_confirmed ? "true" : "false", serial ? "true" : "null", rss_mb);
   // Why the numbers above moved: cache effectiveness and where the wall
   // time went, from the phase-B obs registry (empty maps when ZL_OBS=OFF).
   std::fprintf(f,

@@ -1,5 +1,7 @@
 #include "chain/block.h"
 
+#include <cstring>
+
 #include "crypto/bigint.h"
 
 namespace zl::chain {
@@ -17,20 +19,24 @@ Bytes BlockHeader::to_bytes() const {
 }
 
 Bytes Block::compute_tx_root(const std::vector<Transaction>& txs) {
-  if (txs.empty()) return Bytes(32, 0x00);
-  std::vector<Bytes> layer;
-  layer.reserve(txs.size());
-  for (const Transaction& tx : txs) layer.push_back(tx.hash());
-  while (layer.size() > 1) {
-    std::vector<Bytes> next;
-    for (std::size_t i = 0; i < layer.size(); i += 2) {
-      const Bytes& left = layer[i];
-      const Bytes& right = (i + 1 < layer.size()) ? layer[i + 1] : layer[i];
-      next.push_back(keccak256(concat({left, right})));
+  return merkle_root(tx_hashes(txs));
+}
+
+Bytes Block::merkle_root(const std::vector<Hash32>& leaves) {
+  if (leaves.empty()) return Bytes(32, 0x00);
+  // Each level is folded in place into the front of one buffer: node i of
+  // the next level is keccak(left || right) over a fixed 64-byte pair.
+  std::vector<Hash32> layer = leaves;
+  std::array<std::uint8_t, 64> pair;
+  for (std::size_t n = layer.size(); n > 1; n = (n + 1) / 2) {
+    for (std::size_t i = 0; i < n; i += 2) {
+      const Hash32& right = layer[i + 1 < n ? i + 1 : i];
+      std::memcpy(pair.data(), layer[i].data(), 32);
+      std::memcpy(pair.data() + 32, right.data(), 32);
+      layer[i / 2] = keccak256(pair.data(), pair.size());
     }
-    layer = std::move(next);
   }
-  return layer[0];
+  return Bytes(layer[0].begin(), layer[0].end());
 }
 
 bool proof_of_work_valid(const BlockHeader& header) {
@@ -39,8 +45,11 @@ bool proof_of_work_valid(const BlockHeader& header) {
   return bigint_from_bytes(header.hash()) < target;
 }
 
-bool Block::well_formed() const {
-  return header.tx_root == compute_tx_root(transactions) && proof_of_work_valid(header);
+bool Block::well_formed() const { return well_formed(tx_hashes(transactions)); }
+
+bool Block::well_formed(const std::vector<Hash32>& leaves) const {
+  return leaves.size() == transactions.size() && header.tx_root == merkle_root(leaves) &&
+         proof_of_work_valid(header);
 }
 
 }  // namespace zl::chain

@@ -80,7 +80,7 @@ Blockchain::Blockchain(const GenesisConfig& genesis, const store::OpenOptions& s
     : genesis_(genesis), storage_(storage) {
   const Block g = genesis.build();
   head_hash_ = g.hash();
-  blocks_[to_hash32(head_hash_)] = Entry{g, 0, false};
+  blocks_[to_hash32(head_hash_)] = Entry{g, {}, 0, false};
   for (const auto& [addr, amount] : genesis_.allocations) state_.credit(addr, amount);
   if (storage_.durable()) open_durable();
 }
@@ -110,7 +110,7 @@ void Blockchain::open_durable() {
     } catch (const std::exception&) {
       continue;  // unreadable record: treat like a block we never received
     }
-    insert_block(block, nullptr);
+    insert_block(block, nullptr, nullptr);
   }
 
   // Phase 3: seed state from the newest intact snapshot, if it names a block
@@ -140,7 +140,8 @@ void Blockchain::open_durable() {
 
 const Block& Blockchain::head() const { return blocks_.at(to_hash32(head_hash_)).block; }
 
-bool Blockchain::insert_block(const Block& block, Bytes* hash_out) {
+bool Blockchain::insert_block(const Block& block, const std::vector<Hash32>* tx_hashes,
+                              Bytes* hash_out) {
   const Bytes hash = block.hash();
   const Hash32 key = to_hash32(hash);
   if (blocks_.contains(key)) return false;
@@ -148,9 +149,11 @@ bool Blockchain::insert_block(const Block& block, Bytes* hash_out) {
   if (parent == nullptr || parent->invalid) return false;
   if (block.header.number != parent->block.header.number + 1) return false;
   if (block.header.difficulty != genesis_.difficulty) return false;
-  if (!block.well_formed()) return false;
 
+  // The body is hashed once for the entry's lifetime.
   Entry entry;
+  entry.tx_hashes = tx_hashes != nullptr ? *tx_hashes : chain::tx_hashes(block.transactions);
+  if (!block.well_formed(entry.tx_hashes)) return false;
   entry.block = block;
   entry.total_difficulty = parent->total_difficulty + block.header.difficulty;
   blocks_[key] = std::move(entry);
@@ -158,9 +161,11 @@ bool Blockchain::insert_block(const Block& block, Bytes* hash_out) {
   return true;
 }
 
-bool Blockchain::add_block(const Block& block) {
+bool Blockchain::add_block(const Block& block) { return add_block(block, nullptr); }
+
+bool Blockchain::add_block(const Block& block, const std::vector<Hash32>* tx_hashes) {
   Bytes hash;
-  if (!insert_block(block, &hash)) return false;
+  if (!insert_block(block, tx_hashes, &hash)) return false;
   if (journal_ != nullptr) {
     // Journal before fork choice: once add_block returns true the block is
     // on disk (and fsync-acknowledged when sync_every_block), so a crash
@@ -189,16 +194,18 @@ void Blockchain::choose_best_tip() {
     // Fast path: the new tip extends the current head — apply just the new
     // block instead of replaying the whole chain.
     const Block& block = best->second.block;
+    const std::vector<Hash32>& tx_hashes = best->second.tx_hashes;
     if (block.header.parent_hash == head_hash_) {
       // Fan the expensive pure checks (signatures, snark proofs) out on the
       // thread pool; the sequential applies below then hit warm memo caches.
-      prevalidate_block(state_, block.transactions);
+      BlockPrevalidation::run(state_, block.transactions, tx_hashes);
       bool ok = true;
       std::vector<HeadEvent> confirmed;
-      for (const Transaction& tx : block.transactions) {
+      for (std::size_t i = 0; i < block.transactions.size(); ++i) {
+        const Hash32& tx_hash = tx_hashes[i];
         try {
-          Receipt r = state_.apply_transaction(tx, block.header.number, block.header.miner);
-          const Hash32 tx_hash = to_hash32(tx.hash());
+          Receipt r = state_.apply_transaction(block.transactions[i], tx_hash,
+                                               block.header.number, block.header.miner);
           receipts_[tx_hash] = {std::move(r), block.header.number};
           confirmed.push_back(HeadEvent{tx_hash, true});
         } catch (const std::invalid_argument&) {
@@ -222,7 +229,7 @@ void Blockchain::choose_best_tip() {
       maybe_checkpoint();
       return;
     }
-    // adopt_branch blacklisted a block; retry with the next-best tip.
+    // adopt_branch blacklisted the tip (at least); retry with the next-best.
   }
 }
 
@@ -255,13 +262,18 @@ bool Blockchain::adopt_branch(const Hash32& tip_hash) {
     const auto& [hash, entry] = *it;
     const Block& block = entry->block;
     if (block.header.number == 0) continue;
-    prevalidate_block(fresh, block.transactions);
-    for (const Transaction& tx : block.transactions) {
+    BlockPrevalidation::run(fresh, block.transactions, entry->tx_hashes);
+    for (std::size_t i = 0; i < block.transactions.size(); ++i) {
+      const Hash32& tx_hash = entry->tx_hashes[i];
       try {
-        Receipt r = fresh.apply_transaction(tx, block.header.number, block.header.miner);
-        fresh_receipts[to_hash32(tx.hash())] = {std::move(r), block.header.number};
+        Receipt r = fresh.apply_transaction(block.transactions[i], tx_hash, block.header.number,
+                                            block.header.miner);
+        fresh_receipts[tx_hash] = {std::move(r), block.header.number};
       } catch (const std::invalid_argument&) {
-        entry->invalid = true;
+        // Blacklist this block and everything above it on the branch (the
+        // tip included): blacklisting this block alone would leave the
+        // heavier tip selectable, and fork choice would replay it forever.
+        for (auto up = branch.begin(); up != it.base(); ++up) up->second->invalid = true;
         return false;
       }
     }

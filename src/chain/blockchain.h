@@ -123,6 +123,9 @@ class Blockchain {
  private:
   struct Entry {
     Block block;
+    // Merkle leaves, hashed once at insert: the root check, prevalidation,
+    // apply, receipt keys and every later replay of the block read these.
+    std::vector<Hash32> tx_hashes;
     std::uint64_t total_difficulty = 0;
     bool invalid = false;
   };
@@ -134,13 +137,21 @@ class Blockchain {
 
   using ReceiptMap = std::map<Hash32, std::pair<Receipt, std::uint64_t>>;
 
+  // A node hashes each received body once and hands the leaves over here.
+  friend class Node;
+  /// add_block for a caller that already hashed the body: `tx_hashes` is
+  /// tx_hashes(block.transactions), or nullptr to hash it here.
+  bool add_block(const Block& block, const std::vector<Hash32>* tx_hashes);
+
   /// Structural acceptance only: no journaling, no fork choice.
-  bool insert_block(const Block& block, Bytes* hash_out);
+  /// `tx_hashes` as for add_block.
+  bool insert_block(const Block& block, const std::vector<Hash32>* tx_hashes, Bytes* hash_out);
 
   /// Re-derive state_ by replaying the branch ending at `tip_hash`,
   /// starting from the nearest cached checkpoint on its ancestry (genesis
-  /// allocations if none). Returns false (and blacklists the offending
-  /// block) on invalid bodies.
+  /// allocations if none). Returns false on an invalid body, blacklisting
+  /// the offending block and every branch block above it (so fork choice
+  /// cannot reselect a tip that would replay it again).
   bool adopt_branch(const Hash32& tip_hash);
   void choose_best_tip();
 

@@ -41,6 +41,18 @@ Mempool::Admission record_admission(Mempool::Admission a) {
 
 }  // namespace
 
+std::optional<Mempool::Admission> Mempool::gate(const Transaction& tx,
+                                                std::uint64_t chain_nonce) {
+  if (tx.nonce < chain_nonce) return Admission::kNonceTooLow;
+  if (tx.gas_limit < tx.intrinsic_gas()) return Admission::kInvalid;
+  // An escrow whose gas_limit + value wraps uint64 can never be funded, yet
+  // its fee bid sorts it first — unrejected it would sit unconfirmable at
+  // the top of every block template. Refuse it at the gate.
+  if (tx.value > std::numeric_limits<std::uint64_t>::max() - tx.gas_limit)
+    return Admission::kInvalid;
+  return std::nullopt;
+}
+
 Mempool::Admission Mempool::admit(const Transaction& tx, const Hash32& tx_hash,
                                   std::uint64_t chain_nonce) {
   // Stateless checks run before the lock so ECDSA verification — by far the
@@ -50,13 +62,9 @@ Mempool::Admission Mempool::admit(const Transaction& tx, const Hash32& tx_hash,
   // so the duplicate/replacement logic below can never disagree with a
   // pre-lock rejection. The only observable difference is which rejection
   // code a multiply-invalid transaction gets — never whether it is accepted.
-  if (tx.nonce < chain_nonce) return record_admission(Admission::kNonceTooLow);
-  if (tx.gas_limit < tx.intrinsic_gas()) return record_admission(Admission::kInvalid);
-  // An escrow whose gas_limit + value wraps uint64 can never be funded, yet
-  // its fee bid sorts it first — unrejected it would sit unconfirmable at
-  // the top of every block template. Refuse it at the gate.
-  if (tx.value > std::numeric_limits<std::uint64_t>::max() - tx.gas_limit)
-    return record_admission(Admission::kInvalid);
+  if (const std::optional<Admission> rejected = gate(tx, chain_nonce)) {
+    return record_admission(*rejected);
+  }
   if (!tx.verify_signature(tx_hash)) return record_admission(Admission::kInvalid);
 
   MutexLock lock(mu_);
@@ -138,8 +146,8 @@ void Mempool::drop(const Hash32& tx_hash) {
   if (sc->second.empty()) by_sender_.erase(sc);
 }
 
-std::vector<Transaction> Mempool::build_block(const ChainState& state,
-                                              std::size_t max_txs) const {
+std::vector<Transaction> Mempool::build_block(const ChainState& state, std::size_t max_txs,
+                                              std::vector<Hash32>* tx_hashes) const {
   // Span and timer sit above the lock so their destructors (which take the
   // rank-86 trace-ring mutex) run after mu_ is released.
   ZL_TRACE_SPAN("mempool.build_block");
@@ -170,6 +178,7 @@ std::vector<Transaction> Mempool::build_block(const ChainState& state,
   std::make_heap(heap.begin(), heap.end(), lower_priority);
 
   std::vector<Transaction> out;
+  if (tx_hashes != nullptr) tx_hashes->clear();
   std::unordered_map<Address, std::uint64_t> spend_bound;
   while (!heap.empty() && out.size() < max_txs) {
     std::pop_heap(heap.begin(), heap.end(), lower_priority);
@@ -187,6 +196,7 @@ std::vector<Transaction> Mempool::build_block(const ChainState& state,
     if (bound > balance - cost) continue;  // chain stops here
     bound += cost;
     out.push_back(tx);
+    if (tx_hashes != nullptr) tx_hashes->push_back(head.it->second.hash);
     const auto next = std::next(head.it);
     if (next != head.chain->end() && next->first == tx.nonce + 1) {
       heap.push_back({next->second.fee, next->second.seq, head.sender, head.chain, next});

@@ -39,6 +39,7 @@
 
 #include <atomic>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "common/annotations.h"
@@ -93,6 +94,11 @@ class Mempool {
   /// the signature check.
   Admission admit(const Transaction& tx, const Hash32& tx_hash, std::uint64_t chain_nonce)
       ZL_EXCLUDES(mu_);
+  /// The cheap stateless gates admit() runs before the signature check:
+  /// the rejection code a transaction gets from them at `chain_nonce`, or
+  /// nullopt if it passes. Batched admission applies the same gates before it
+  /// pre-verifies signatures, so it verifies exactly what admit() would.
+  static std::optional<Admission> gate(const Transaction& tx, std::uint64_t chain_nonce);
   static bool accepted(Admission a) {
     return a == Admission::kAdmitted || a == Admission::kReplaced;
   }
@@ -107,8 +113,11 @@ class Mempool {
 
   /// Deterministic block template: up to `max_txs` transactions, highest fee
   /// first across senders, in nonce order per sender, skipping anything the
-  /// sender cannot fund on top of what the template already commits.
-  std::vector<Transaction> build_block(const ChainState& state, std::size_t max_txs) const
+  /// sender cannot fund on top of what the template already commits. With
+  /// `tx_hashes`, it is filled with the pooled hash of each selected
+  /// transaction, in order: the template's Merkle leaves, without a re-hash.
+  std::vector<Transaction> build_block(const ChainState& state, std::size_t max_txs,
+                                       std::vector<Hash32>* tx_hashes = nullptr) const
       ZL_EXCLUDES(mu_);
 
   bool contains(const Hash32& tx_hash) const ZL_EXCLUDES(mu_) {

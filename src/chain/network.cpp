@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#include "chain/validation.h"
+#include "common/thread_pool.h"
+#include "obs/obs.h"
+
 namespace zl::chain {
 
 SimNetwork::SimNetwork(const Config& config) : config_(config), rng_(config.seed) {}
@@ -32,17 +36,74 @@ void SimNetwork::broadcast(int from, MessageKind kind, const Bytes& payload,
 }
 
 void SimNetwork::step_to(std::uint64_t target_time) {
+  // Submissions made since the last step are admitted at the time they
+  // were made, before the clock moves.
+  admit_pending();
   while (now_ < target_time) {
     ++now_;
-    // Deliver everything due at this instant.
-    while (!queue_.empty() && queue_.front().time <= now_) {
-      std::pop_heap(queue_.begin(), queue_.end(), std::greater<>());
-      const Event ev = std::move(queue_.back());
-      queue_.pop_back();
-      nodes_[static_cast<std::size_t>(ev.dst)]->on_message(ev.kind, ev.payload);
-      ++delivered_;
+    // Deliver everything due at this instant. Transactions queue up and are
+    // admitted as one batch before the next non-transaction event and once
+    // nothing more is due; admission may gossip new events due right now
+    // (zero latency), so the queue is re-checked after each batch.
+    for (;;) {
+      while (!queue_.empty() && queue_.front().time <= now_) {
+        std::pop_heap(queue_.begin(), queue_.end(), std::greater<>());
+        const Event ev = std::move(queue_.back());
+        queue_.pop_back();
+        if (ev.kind != MessageKind::kTransaction) admit_pending();
+        nodes_[static_cast<std::size_t>(ev.dst)]->on_message(ev.kind, ev.payload);
+        ++delivered_;
+      }
+      if (pending_.empty()) break;
+      admit_pending();
     }
-    for (Node* node : nodes_) node->tick(now_);
+    for (Node* node : nodes_) {
+      node->tick(now_);
+      admit_pending();  // whatever a tick submitted, before the next node acts
+    }
+  }
+}
+
+void SimNetwork::admit_pending() {
+  if (pending_.empty()) return;
+  ZL_TRACE_SPAN("network.admit_batch");
+  const std::vector<PendingTx> batch = std::exchange(pending_, {});
+  ZL_OBS_COUNTER_ADD("network.admit_batch.txs", batch.size());
+  // Parallel phase, pure work only: hash every entry, then warm the
+  // signature memo once per distinct transaction that its target has not
+  // seen and that passes the mempool's cheap gates against that target's
+  // chain nonce: exactly those the serial phase would verify. Nothing in a
+  // batch moves a chain, so the nonces read here are the ones admission
+  // sees. Node state is read here (on this thread) but never written.
+  std::vector<Hash32> hashes(batch.size());
+  const auto hash_range = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) hashes[i] = to_hash32(batch[i].tx.hash());
+  };
+  if (parallel_validation_enabled()) {
+    zl::parallel_for_range(batch.size(), hash_range, /*min_grain=*/32);
+    std::vector<std::size_t> unseen;
+    std::unordered_set<Hash32, Hash32Hasher> distinct;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const Transaction& tx = batch[i].tx;
+      const Node& node = *nodes_[static_cast<std::size_t>(batch[i].dst)];
+      if (!node.seen_.contains(hashes[i]) &&
+          !Mempool::gate(tx, node.chain_.state().nonce_of(tx.from)) &&
+          distinct.insert(hashes[i]).second) {
+        unseen.push_back(i);
+      }
+    }
+    zl::parallel_for(
+        unseen.size(),
+        [&](std::size_t k) { batch[unseen[k]].tx.verify_signature(hashes[unseen[k]]); },
+        /*min_grain=*/1);
+  } else {
+    hash_range(0, batch.size());
+  }
+  // Serial phase: admission in arrival order, so mempool verdicts, gossip
+  // jitter draws and event sequence numbers match one-at-a-time admission.
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    nodes_[static_cast<std::size_t>(batch[i].dst)]->accept_transaction(batch[i].tx, hashes[i],
+                                                                       true);
   }
 }
 
@@ -70,10 +131,9 @@ Node::Node(SimNetwork& network, const GenesisConfig& genesis, const store::OpenO
   chain_.take_head_events();
 }
 
-void Node::submit_transaction(const Transaction& tx) { accept_transaction(tx, true); }
+void Node::submit_transaction(const Transaction& tx) { network_.enqueue_transaction(id_, tx); }
 
-void Node::accept_transaction(const Transaction& tx, bool rebroadcast) {
-  const Hash32 h = to_hash32(tx.hash());
+void Node::accept_transaction(const Transaction& tx, const Hash32& h, bool rebroadcast) {
   if (seen_.contains(h)) return;
   // Admission verifies the signature (memoized), enforces nonce/fee rules
   // and replacement-by-fee; only transactions worth relaying propagate.
@@ -125,39 +185,47 @@ void Node::sync_mempool_with_chain() {
 }
 
 void Node::accept_block(const Block& block, bool rebroadcast) {
-  if (!seen_.insert(to_hash32(block.hash())).second) return;
+  const Hash32 block_hash = to_hash32(block.hash());
+  if (seen_.contains(block_hash)) return;  // before hashing the body
+  connect_block(block, block_hash, tx_hashes(block.transactions), rebroadcast);
+}
+
+void Node::connect_block(const Block& block, const Hash32& block_hash,
+                         std::vector<Hash32> tx_hashes, bool rebroadcast) {
+  if (!seen_.insert(block_hash).second) return;
   // Stash the bodies unvalidated (a reorg may later evict them and they
   // must return to the mempool); block validation itself happens inside
   // add_block's prevalidate + apply pipeline, not here.
-  for (const Transaction& tx : block.transactions) {
-    known_txs_.emplace(to_hash32(tx.hash()), tx);
+  for (std::size_t i = 0; i < block.transactions.size(); ++i) {
+    known_txs_.try_emplace(tx_hashes[i], block.transactions[i]);
   }
   // Parent not here yet (gossip reordering): park the block until it is. A
   // parent hash that is not 32 bytes long can never connect.
   if (!chain_.knows(block.header.parent_hash)) {
     if (block.header.parent_hash.size() == std::tuple_size_v<Hash32>) {
-      orphans_[to_hash32(block.header.parent_hash)].push_back(block);
+      orphans_[to_hash32(block.header.parent_hash)].push_back(
+          Orphan{block, std::move(tx_hashes)});
     }
     return;
   }
-  if (!chain_.add_block(block)) return;
+  if (!chain_.add_block(block, &tx_hashes)) return;
   sync_mempool_with_chain();
   if (rebroadcast) network_.broadcast(id_, MessageKind::kBlock, block_to_bytes(block));
 
   // Connect any orphans waiting on this block (and, transitively, theirs).
-  std::vector<Hash32> connected = {to_hash32(block.hash())};
+  std::vector<Hash32> connected = {block_hash};
   while (!connected.empty()) {
     const Hash32 parent = connected.back();
     connected.pop_back();
     const auto it = orphans_.find(parent);
     if (it == orphans_.end()) continue;
-    const std::vector<Block> children = std::move(it->second);
+    const std::vector<Orphan> children = std::move(it->second);
     orphans_.erase(it);
-    for (const Block& child : children) {
-      if (chain_.add_block(child)) {
+    for (const Orphan& child : children) {
+      if (chain_.add_block(child.block, &child.tx_hashes)) {
         sync_mempool_with_chain();
-        if (rebroadcast) network_.broadcast(id_, MessageKind::kBlock, block_to_bytes(child));
-        connected.push_back(to_hash32(child.hash()));
+        if (rebroadcast) network_.broadcast(id_, MessageKind::kBlock, block_to_bytes(child.block));
+        connected.push_back(to_hash32(child.block.hash()));
       }
     }
   }
@@ -167,7 +235,7 @@ void Node::on_message(MessageKind kind, const Bytes& payload) {
   try {
     switch (kind) {
       case MessageKind::kTransaction:
-        accept_transaction(Transaction::from_bytes(payload), true);
+        network_.enqueue_transaction(id_, Transaction::from_bytes(payload));
         break;
       case MessageKind::kBlock:
         accept_block(block_from_bytes(payload), true);
@@ -192,8 +260,9 @@ void MinerNode::rebuild_template(std::uint64_t now) {
 
   // Highest fee first across senders, nonce-ordered per sender, funds-bound
   // against the head state — all inside the pool's heap walk.
-  template_.transactions = mempool_.build_block(chain_.state(), kMaxTemplateTxs);
-  template_.header.tx_root = Block::compute_tx_root(template_.transactions);
+  template_.transactions =
+      mempool_.build_block(chain_.state(), kMaxTemplateTxs, &template_tx_hashes_);
+  template_.header.tx_root = Block::merkle_root(template_tx_hashes_);
   template_parent_ = template_.header.parent_hash;
   template_pool_version_ = mempool_.version();
   next_nonce_ = 0;
@@ -210,7 +279,7 @@ void MinerNode::tick(std::uint64_t now) {
     if (proof_of_work_valid(template_.header)) {
       const Block mined = template_;
       ++blocks_mined_;
-      accept_block(mined, true);
+      connect_block(mined, to_hash32(mined.hash()), template_tx_hashes_, true);
       rebuild_template(now);
       return;
     }

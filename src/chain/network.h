@@ -7,6 +7,12 @@
 // of §III who "can reorder transactions that are broadcasted to the network
 // but not yet written into a block" (used by the free-riding attack tests).
 //
+// Transaction ingress is batched (DESIGN.md §17): a submission or a gossip
+// delivery queues (node, tx), and the network admits the queue at fixed flush
+// points — hashing every entry and pre-verifying the signatures of unseen
+// transactions on the thread pool, then admitting serially in arrival order,
+// which keeps the event schedule exactly that of one-at-a-time admission.
+//
 // Threading (DESIGN.md §13): the simulator is deliberately single-threaded —
 // SimNetwork, Node, and MinerNode hold no locks of their own, which is what
 // keeps a run bit-for-bit deterministic (one event order, one rng stream).
@@ -67,6 +73,8 @@ class SimNetwork {
   std::size_t messages_delivered() const { return delivered_; }
 
  private:
+  friend class Node;  // submissions and gossip enqueue transactions
+
   struct Event {
     std::uint64_t time;
     std::uint64_t seq;  // FIFO tie-break for determinism
@@ -78,11 +86,27 @@ class SimNetwork {
     }
   };
 
+  struct PendingTx {
+    int dst;
+    Transaction tx;
+  };
+
   void step_to(std::uint64_t target_time);
+
+  /// Queue `tx` for admission at node `dst` (Node::submit_transaction and
+  /// transaction gossip delivery both land here).
+  void enqueue_transaction(int dst, Transaction tx) {
+    pending_.push_back(PendingTx{dst, std::move(tx)});
+  }
+  /// Admit the queued transactions: hash them and warm the signature memo
+  /// for the ones their target has not seen, in parallel (when parallel
+  /// validation is on), then hand them to their nodes in arrival order.
+  void admit_pending();
 
   Config config_;
   Rng rng_;
   std::vector<Node*> nodes_;
+  std::vector<PendingTx> pending_;  // arrival order
   std::vector<Event> queue_;  // heap (std::push_heap with operator>)
   std::uint64_t now_ = 0;
   std::uint64_t seq_ = 0;
@@ -101,8 +125,12 @@ class Node {
   virtual ~Node() = default;
 
   /// Inject a transaction at this node (a client submitting via its peer).
+  /// Admission is batched: the network admits it at its next flush point,
+  /// at the latest when it next steps, and before its clock moves.
   void submit_transaction(const Transaction& tx);
 
+  /// Gossip delivery. A block is processed at once; a transaction is
+  /// decoded (garbage is dropped) and queued for the network's next batch.
   virtual void on_message(MessageKind kind, const Bytes& payload);
 
   /// Called by the network at every simulated millisecond.
@@ -119,8 +147,17 @@ class Node {
   static constexpr std::uint64_t kBodyPruneDepth = 64;
 
  protected:
-  void accept_transaction(const Transaction& tx, bool rebroadcast);
+  friend class SimNetwork;  // batched admission calls accept_transaction
+
+  /// Admit one transaction; `tx_hash` must be tx.hash().
+  void accept_transaction(const Transaction& tx, const Hash32& tx_hash, bool rebroadcast);
   void accept_block(const Block& block, bool rebroadcast);
+  /// accept_block for a body already hashed: `block_hash` == block.hash()
+  /// and `tx_hashes` == tx_hashes(block.transactions). The hashes travel with
+  /// the block into the chain (and the orphan pool), so each node hashes a
+  /// body at most once.
+  void connect_block(const Block& block, const Hash32& block_hash,
+                     std::vector<Hash32> tx_hashes, bool rebroadcast);
 
   /// Drain the chain's head events and apply them to the mempool
   /// incrementally: confirmation evicts the sender's chain up to the
@@ -145,9 +182,13 @@ class Node {
   // tx hash), drained by sync_mempool_with_chain once buried
   // kBodyPruneDepth below the head.
   std::deque<std::pair<std::uint64_t, Hash32>> confirmed_bodies_;
-  // Blocks that arrived before their parent, keyed by parent hash;
-  // reconnected as soon as the parent is adopted into the store.
-  std::map<Hash32, std::vector<Block>> orphans_;
+  // Blocks that arrived before their parent (with their leaf hashes), keyed
+  // by parent hash; reconnected as soon as the parent is adopted.
+  struct Orphan {
+    Block block;
+    std::vector<Hash32> tx_hashes;
+  };
+  std::map<Hash32, std::vector<Orphan>> orphans_;
 };
 
 /// A mining node: assembles candidate blocks from its mempool and grinds
@@ -174,6 +215,7 @@ class MinerNode : public Node {
   unsigned hashes_per_ms_;
   bool enabled_ = true;
   Block template_;
+  std::vector<Hash32> template_tx_hashes_;  // the template's Merkle leaves
   Bytes template_parent_;
   std::uint64_t template_pool_version_ = 0;
   std::uint64_t next_nonce_ = 0;

@@ -140,7 +140,12 @@ bool ChainState::move_balance(const Address& from, const Address& to, std::uint6
 
 Receipt ChainState::apply_transaction(const Transaction& tx, std::uint64_t block_number,
                                       const Address& miner) {
-  if (!tx.verify_signature()) throw std::invalid_argument("tx: bad signature");
+  return apply_transaction(tx, to_hash32(tx.hash()), block_number, miner);
+}
+
+Receipt ChainState::apply_transaction(const Transaction& tx, const Hash32& tx_hash,
+                                      std::uint64_t block_number, const Address& miner) {
+  if (!tx.verify_signature(tx_hash)) throw std::invalid_argument("tx: bad signature");
   Account& sender = accounts_[tx.from];
   if (tx.nonce != sender.nonce) throw std::invalid_argument("tx: bad nonce");
   // Gas price is fixed at 1 wei/gas in this simulation.

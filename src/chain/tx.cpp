@@ -88,7 +88,17 @@ Transaction Transaction::from_bytes(const Bytes& bytes) {
   return tx;
 }
 
-Bytes Transaction::hash() const { return keccak256(to_bytes()); }
+Bytes Transaction::hash() const {
+  ZL_OBS_COUNTER_ADD("chain.tx_hash", 1);
+  return keccak256(to_bytes());
+}
+
+std::vector<Hash32> tx_hashes(const std::vector<Transaction>& txs) {
+  std::vector<Hash32> out;
+  out.reserve(txs.size());
+  for (const Transaction& tx : txs) out.push_back(to_hash32(tx.hash()));
+  return out;
+}
 
 bool Transaction::verify_signature() const { return verify_signature(to_hash32(hash())); }
 

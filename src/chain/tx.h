@@ -30,7 +30,9 @@ struct Transaction {
   Bytes to_bytes() const;
   static Transaction from_bytes(const Bytes& bytes);
 
-  /// Transaction hash (id): keccak256 of the full encoding.
+  /// Transaction hash (id): keccak256 of the full encoding. Every call
+  /// re-serializes and re-hashes (counted as obs `chain.tx_hash`), so hot
+  /// paths compute it once and pass the Hash32 along.
   Bytes hash() const;
 
   bool is_contract_creation() const { return to.is_zero(); }
@@ -48,6 +50,9 @@ struct Transaction {
   /// Intrinsic gas: base + calldata (+ creation surcharge).
   std::uint64_t intrinsic_gas() const;
 };
+
+/// hash() of every transaction, in order: a block body's Merkle leaves.
+std::vector<Hash32> tx_hashes(const std::vector<Transaction>& txs);
 
 /// Drop every memoized signature verdict (benches use this to time the cold
 /// path; see also chain::clear_validation_caches in validation.h).

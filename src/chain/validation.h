@@ -42,9 +42,10 @@ using SnarkPrecheckExtractor =
 /// registers one alongside its ContractFactory type). Process-wide.
 void register_snark_precheck_extractor(SnarkPrecheckExtractor extractor);
 
-/// Toggle the parallel prevalidation phase (default on). Off = the serial
-/// oracle: apply recomputes everything inline. Benches flip this (plus
-/// clear_validation_caches) to measure the speedup.
+/// Toggle the parallel prevalidation phase (default on), and with it the
+/// parallel phase of SimNetwork's batched admission. Off = the serial
+/// oracle: admission and apply recompute everything inline. Benches flip
+/// this (plus clear_validation_caches) to measure the speedup.
 ///
 /// Safe to call while another thread is validating: the flag is an atomic
 /// sampled exactly once at the top of each prevalidate_block call, so an
@@ -70,5 +71,18 @@ void clear_validation_caches();
 /// all extracted snark prechecks in one parallel batch and warms the
 /// precompile memo. No-op when parallel validation is disabled.
 void prevalidate_block(const ChainState& pre_state, const std::vector<Transaction>& txs);
+
+class Blockchain;
+
+/// prevalidate_block over the leaf hashes the chain computed once at insert
+/// (`tx_hashes[i]` == txs[i].hash()). Private, with Blockchain as the only
+/// friend: the signature memo is keyed by the hash alone, so a caller-
+/// supplied hash could file one transaction's verdict under another's.
+class BlockPrevalidation {
+ private:
+  friend class Blockchain;
+  static void run(const ChainState& pre_state, const std::vector<Transaction>& txs,
+                  const std::vector<Hash32>& tx_hashes);
+};
 
 }  // namespace zl::chain

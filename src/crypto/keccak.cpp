@@ -71,15 +71,15 @@ void keccak_f1600(std::array<std::uint64_t, 25>& a) {
 
 }  // namespace
 
-Bytes keccak256(const Bytes& data) {
+Hash32 keccak256(const std::uint8_t* data, std::size_t size) {
   std::array<std::uint64_t, 25> state{};
 
   // Absorb.
   std::size_t offset = 0;
-  while (data.size() - offset >= kRate) {
+  while (size - offset >= kRate) {
     for (std::size_t i = 0; i < kRate / 8; ++i) {
       std::uint64_t lane;
-      std::memcpy(&lane, data.data() + offset + 8 * i, 8);  // little-endian host
+      std::memcpy(&lane, data + offset + 8 * i, 8);  // little-endian host
       state[i] ^= lane;
     }
     keccak_f1600(state);
@@ -88,8 +88,8 @@ Bytes keccak256(const Bytes& data) {
 
   // Pad the final (possibly empty) block: Keccak legacy padding 0x01 ... 0x80.
   std::array<std::uint8_t, kRate> block{};
-  const std::size_t remaining = data.size() - offset;
-  std::memcpy(block.data(), data.data() + offset, remaining);
+  const std::size_t remaining = size - offset;
+  if (remaining != 0) std::memcpy(block.data(), data + offset, remaining);
   block[remaining] = 0x01;
   block[kRate - 1] |= 0x80;
   for (std::size_t i = 0; i < kRate / 8; ++i) {
@@ -100,9 +100,14 @@ Bytes keccak256(const Bytes& data) {
   keccak_f1600(state);
 
   // Squeeze 32 bytes.
-  Bytes out(32);
-  std::memcpy(out.data(), state.data(), 32);
+  Hash32 out;
+  std::memcpy(out.data(), state.data(), out.size());
   return out;
+}
+
+Bytes keccak256(const Bytes& data) {
+  const Hash32 digest = keccak256(data.data(), data.size());
+  return Bytes(digest.begin(), digest.end());
 }
 
 Bytes keccak256(std::string_view s) { return keccak256(to_bytes(s)); }

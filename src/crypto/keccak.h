@@ -13,5 +13,8 @@ namespace zl {
 /// keccak256("") = c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470
 Bytes keccak256(const Bytes& data);
 Bytes keccak256(std::string_view s);
+/// The same digest over a raw buffer, returned by value: no allocation, for
+/// hot paths that hash fixed-size preimages (Merkle pairs).
+Hash32 keccak256(const std::uint8_t* data, std::size_t size);
 
 }  // namespace zl

@@ -130,6 +130,33 @@ TEST(Block, TxRootAndPow) {
   EXPECT_EQ(decoded.transactions.size(), 1u);
 }
 
+// Merkle roots of 0-, 1-, 2-, 3- and 211-transaction bodies, recorded from
+// the byte-vector implementation the fixed-buffer one replaced: the odd
+// sizes exercise the duplicate-last rule at one and at several levels.
+TEST(Block, TxRootGoldens) {
+  Rng rng(1501);
+  Wallet wallet(rng);
+  const Address to = Address::from_hex("00000000000000000000000000000000000000bb");
+  std::vector<Transaction> txs;
+  for (std::uint64_t i = 0; i < 211; ++i) {
+    txs.push_back(wallet.make_transaction(to, i, 21000, "", {}));
+  }
+  const std::vector<std::pair<std::size_t, std::string>> goldens = {
+      {0, "0000000000000000000000000000000000000000000000000000000000000000"},
+      {1, "b5ee178b244da1eec4e7d1a7af287760fe9b5d65f632093615c4282615a9d2bd"},
+      {2, "7aadbaf7321f94e33db01bb3e01c69611e1816a3e2dc114bf6fb32ccf81a5115"},
+      {3, "373cd1966bdc47454abc246d1a7a355be438b845faa5fd659185afaa2542e966"},
+      {211, "3ba49d85cc2f92dbbf9417afcc719daaa6d4cbca2307c204fc39ef447c310141"},
+  };
+  for (const auto& [n, hex] : goldens) {
+    const std::vector<Transaction> body(txs.begin(),
+                                        txs.begin() + static_cast<std::ptrdiff_t>(n));
+    EXPECT_EQ(to_hex(Block::compute_tx_root(body)), hex) << n << " txs";
+  }
+  EXPECT_EQ(Block::compute_tx_root({}), Bytes(32, 0x00));
+  EXPECT_EQ(Block::compute_tx_root({txs[0]}), txs[0].hash()) << "a lone leaf is the root";
+}
+
 TEST(State, TransfersAndNonceRules) {
   Rng rng(304);
   Wallet alice(rng);
@@ -423,6 +450,52 @@ TEST(Blockchain, InvalidBodyBlacklisted) {
   while (!proof_of_work_valid(bad.header)) ++bad.header.nonce;
   EXPECT_TRUE(chain.add_block(bad)) << "structurally valid, accepted into the store";
   EXPECT_EQ(chain.height(), 0u) << "but never adopted as head";
+}
+
+// A heavier block C on top of a losing side-branch block B whose body cannot
+// apply: replaying B fails, so fork choice must give up on C as well instead
+// of reselecting it forever.
+TEST(Blockchain, InvalidSideBranchDoesNotLivelockForkChoice) {
+  Rng rng(1502);
+  Wallet alice(rng);
+  GenesisConfig genesis = make_genesis({alice.address()});
+  genesis.difficulty = 2;
+  Blockchain chain(genesis);
+  const auto mine_on = [&](const Bytes& parent, std::uint64_t number, std::uint64_t stamp,
+                           std::vector<Transaction> txs) {
+    Block b;
+    b.header.parent_hash = parent;
+    b.header.number = number;
+    b.header.difficulty = genesis.difficulty;
+    b.header.timestamp = stamp;
+    b.transactions = std::move(txs);
+    b.header.tx_root = Block::compute_tx_root(b.transactions);
+    while (!proof_of_work_valid(b.header)) ++b.header.nonce;
+    return b;
+  };
+
+  const Block a = mine_on(chain.head_hash(), 1, 1, {});
+  ASSERT_TRUE(chain.add_block(a));
+  // B ties A on weight and loses the tie (higher hash), so it is stored but
+  // never replayed. Its transaction is properly signed with a nonce gap.
+  alice.set_nonce(5);
+  const Transaction gap = alice.make_transaction(alice.address(), 1, 21000, "", {});
+  Block b;
+  for (std::uint64_t stamp = 2;; ++stamp) {
+    b = mine_on(genesis.build().hash(), 1, stamp, {gap});
+    if (b.hash() > a.hash()) break;
+  }
+  ASSERT_TRUE(chain.add_block(b));
+  ASSERT_EQ(chain.head_hash(), a.hash());
+
+  const Block c = mine_on(b.hash(), 2, 100, {});
+  EXPECT_TRUE(chain.add_block(c)) << "structurally valid, accepted into the store";
+  EXPECT_EQ(chain.head_hash(), a.hash()) << "the head stays on the valid branch";
+  // Both B and C are blacklisted: no child of either can enter the store.
+  EXPECT_FALSE(chain.add_block(mine_on(b.hash(), 2, 101, {})));
+  EXPECT_FALSE(chain.add_block(mine_on(c.hash(), 3, 102, {})));
+  EXPECT_TRUE(chain.add_block(mine_on(a.hash(), 2, 103, {}))) << "the valid branch still grows";
+  EXPECT_EQ(chain.height(), 2u);
 }
 
 TEST(Network, MinersProduceBlocksAndConverge) {

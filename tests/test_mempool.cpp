@@ -313,7 +313,7 @@ class ProbeNode : public Node {
  public:
   using Node::Node;
   void deliver_block(const Block& b) { accept_block(b, false); }
-  void deliver_tx(const Transaction& tx) { accept_transaction(tx, false); }
+  void deliver_tx(const Transaction& tx) { accept_transaction(tx, to_hash32(tx.hash()), false); }
   const Mempool& pool() const { return mempool_; }
   void shrink_pool(std::size_t max_txs) { mempool_.reset(max_txs); }
   bool has_body(const Hash32& tx_hash) const { return known_txs_.contains(tx_hash); }

@@ -5,7 +5,10 @@
 // a reorg, wedging every later nonce from the same sender.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "chain/network.h"
+#include "obs/obs.h"
 
 namespace zl::chain {
 namespace {
@@ -35,7 +38,7 @@ class ProbeNode : public Node {
  public:
   using Node::Node;
   void deliver_block(const Block& b) { accept_block(b, false); }
-  void deliver_tx(const Transaction& tx) { accept_transaction(tx, false); }
+  void deliver_tx(const Transaction& tx) { accept_transaction(tx, to_hash32(tx.hash()), false); }
   std::size_t mempool_size() const { return mempool_.size(); }
 };
 
@@ -129,6 +132,193 @@ TEST(NetworkEdge, HighJitterNetworkStillConverges) {
   EXPECT_EQ(observer.chain().head_hash(), miner1.chain().head_hash());
   EXPECT_EQ(observer.chain().head_hash(), miner2.chain().head_hash());
   EXPECT_GE(observer.chain().height(), 12u);
+}
+
+// Gossip reaches a node through on_message; a direct call with garbage is
+// dropped at decode and never reaches the admission batch, while a valid
+// encoding is admitted (and relayed) once the network steps.
+TEST(NetworkEdge, DirectGarbageTransactionMessageDropped) {
+  Rng rng(1503);
+  Wallet alice(rng);
+  const GenesisConfig genesis = tiny_genesis(alice.address());
+  SimNetwork net({.base_latency_ms = 1, .jitter_ms = 0, .seed = 5});
+  ProbeNode node(net, genesis);
+  ProbeNode peer(net, genesis);
+
+  const Transaction tx = alice.make_transaction(alice.address(), 1, 21000, "", {});
+  Bytes truncated = tx.to_bytes();
+  truncated.pop_back();
+  node.on_message(MessageKind::kTransaction, Bytes{});
+  node.on_message(MessageKind::kTransaction, Bytes{1, 2, 3});
+  node.on_message(MessageKind::kTransaction, truncated);
+  net.run_for(10);
+  EXPECT_EQ(node.mempool_size(), 0u);
+  EXPECT_EQ(net.messages_delivered(), 0u) << "nothing was relayed";
+
+  node.on_message(MessageKind::kTransaction, tx.to_bytes());
+  net.run_for(10);
+  EXPECT_EQ(node.mempool_size(), 1u);
+  EXPECT_EQ(peer.mempool_size(), 1u);
+  EXPECT_EQ(net.messages_delivered(), 2u) << "relayed once each way, then deduplicated";
+}
+
+// A flush pre-verifies only what admission itself would verify: copies with
+// a stale nonce or below-intrinsic gas are turned away by the mempool's cheap
+// gates, before any signature check, in a batch as one at a time.
+TEST(NetworkEdge, BatchedAdmissionVerifiesNoGatedTransaction) {
+  if (!ZL_OBS_ENABLED) GTEST_SKIP() << "needs the obs counters";
+  Rng rng(1506);
+  Wallet alice(rng), bob(rng);
+  const GenesisConfig genesis = tiny_genesis(alice.address());
+  SimNetwork net({.base_latency_ms = 1, .jitter_ms = 0, .seed = 6});
+  ProbeNode node(net, genesis);
+  const Transaction first = alice.make_transaction(bob.address(), 1, 21000, "", {});
+  node.deliver_block(mine_block(genesis, node.chain().head_hash(), 1, 1, {first}));
+  ASSERT_EQ(node.chain().state().nonce_of(alice.address()), 1u);
+  const Transaction next = alice.make_transaction(bob.address(), 2, 21000, "", {});
+
+  zl::obs::reset();
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    // Even: a stale nonce. Odd: the next nonce, starved of gas. Each with a
+    // junk signature no check would accept.
+    Transaction junk = i % 2 == 0 ? first : next;
+    if (i % 2 == 1) junk.gas_limit = 1;
+    junk.value = 100 + i;
+    junk.signature = Bytes(64, 0x5a);
+    node.submit_transaction(junk);
+  }
+  node.submit_transaction(next);
+  net.run_for(1);
+
+  const zl::obs::Snapshot snap = zl::obs::snapshot();
+  EXPECT_EQ(snap.counter("mempool.admit.nonce_too_low"), 8u);
+  EXPECT_EQ(snap.counter("mempool.admit.invalid"), 8u);
+  EXPECT_EQ(snap.counter("validation.sig_cache.miss"), 1u)
+      << "only the one valid transaction is verified";
+  EXPECT_EQ(node.mempool_size(), 1u);
+}
+
+// Counts what the hash bound below is stated in: transaction messages
+// delivered, and the transactions of each block body seen for the first time.
+template <typename Base>
+class CountingNode : public Base {
+ public:
+  using Base::Base;
+  void on_message(MessageKind kind, const Bytes& payload) override {
+    if (kind == MessageKind::kTransaction) {
+      ++tx_messages;
+    } else if (const Block block = block_from_bytes(payload); seen.insert(block.hash()).second) {
+      block_txs += block.transactions.size();
+    }
+    Base::on_message(kind, payload);
+  }
+  std::size_t tx_messages = 0;
+  std::size_t block_txs = 0;
+  std::set<Bytes> seen;
+};
+
+// Every node hashes a transaction at most once per copy it is handed (a
+// submission or a gossip message) and once per block body it receives or
+// mines: fork choice, apply, receipts, replays and templates reuse those.
+TEST(NetworkEdge, TxHashesBoundedByDeliveriesAndBlockBodies) {
+  if (!ZL_OBS_ENABLED) GTEST_SKIP() << "needs the obs counters";
+  Rng rng(1504);
+  std::vector<std::unique_ptr<Wallet>> wallets;
+  GenesisConfig genesis;
+  genesis.difficulty = 64;
+  for (int i = 0; i < 8; ++i) {
+    wallets.push_back(std::make_unique<Wallet>(rng));
+    genesis.allocations.emplace_back(wallets.back()->address(), 1'000'000'000);
+  }
+  Wallet coinbase1(rng), coinbase2(rng);
+  std::vector<Transaction> flood;
+  std::vector<Bytes> hashes;
+  for (std::size_t s = 0; s < 300; ++s) {
+    flood.push_back(wallets[s % wallets.size()]->make_transaction(
+        wallets[(s + 1) % wallets.size()]->address(), 1 + s, 21000, "", {}));
+    hashes.push_back(flood.back().hash());
+  }
+
+  SimNetwork net({.base_latency_ms = 5, .jitter_ms = 6, .seed = 16});
+  CountingNode<MinerNode> miner1(net, genesis, coinbase1.address());
+  CountingNode<MinerNode> miner2(net, genesis, coinbase2.address());
+  CountingNode<Node> observer(net, genesis);
+  zl::obs::reset();
+  for (std::size_t s = 0; s < flood.size(); ++s) {
+    (s % 2 == 0 ? static_cast<Node&>(miner1) : observer).submit_transaction(flood[s]);
+    if (s % 16 == 15) net.run_for(1);
+  }
+  std::size_t confirmed = 0;
+  while (confirmed < flood.size() && net.now() < 600'000) {
+    net.run_for(50);
+    while (confirmed < flood.size() && observer.chain().find_receipt(hashes[confirmed])) {
+      ++confirmed;
+    }
+  }
+  ASSERT_EQ(confirmed, flood.size());
+  const std::uint64_t tx_hashes = zl::obs::snapshot().counter("chain.tx_hash");
+
+  const std::size_t deliveries =
+      flood.size() + miner1.tx_messages + miner2.tx_messages + observer.tx_messages;
+  const std::size_t received = miner1.block_txs + miner2.block_txs + observer.block_txs;
+  // Every block either miner mines reaches the observer, so the observer's
+  // first-seen bodies bound the mined ones.
+  const std::size_t mined = observer.block_txs;
+  EXPECT_GT(received, flood.size()) << "the flood confirmed through gossiped blocks";
+  EXPECT_LE(tx_hashes, deliveries + received + mined);
+}
+
+// A fixed-seed flood into two miners and an observer: the head hash, the
+// number of delivered messages and the state bytes pin the whole event
+// schedule (admission order, gossip jitter draws, mining races). The values
+// were recorded when every transaction was admitted the moment it arrived;
+// batched admission must reproduce them exactly.
+TEST(NetworkEdge, FloodScheduleGolden) {
+  Rng rng(1505);
+  std::vector<std::unique_ptr<Wallet>> wallets;
+  GenesisConfig genesis;
+  genesis.difficulty = 64;
+  for (int i = 0; i < 12; ++i) {
+    wallets.push_back(std::make_unique<Wallet>(rng));
+    genesis.allocations.emplace_back(wallets.back()->address(), 1'000'000'000);
+  }
+  Wallet coinbase1(rng), coinbase2(rng);
+  std::vector<Transaction> flood;
+  for (std::size_t s = 0; s < 600; ++s) {
+    Wallet& from = *wallets[s % wallets.size()];
+    const Address& to = wallets[(s * 7 + 3) % wallets.size()]->address();
+    flood.push_back(from.make_transaction(to, 1 + s, 21000, "", {}));
+  }
+
+  SimNetwork net({.base_latency_ms = 5, .jitter_ms = 3, .seed = 15});
+  MinerNode miner1(net, genesis, coinbase1.address());
+  MinerNode miner2(net, genesis, coinbase2.address());
+  Node observer(net, genesis);
+  for (std::size_t s = 0; s < flood.size(); ++s) {
+    (s % 2 == 0 ? static_cast<Node&>(miner1) : observer).submit_transaction(flood[s]);
+    if (s % 16 == 15) net.run_for(1);
+  }
+  std::size_t confirmed = 0;
+  while (confirmed < flood.size() && net.now() < 600'000) {
+    net.run_for(50);
+    while (confirmed < flood.size() && observer.chain().find_receipt(flood[confirmed].hash())) {
+      ++confirmed;
+    }
+  }
+  ASSERT_EQ(confirmed, flood.size());
+  miner1.set_enabled(false);
+  miner2.set_enabled(false);
+  net.run_for(500);
+
+  ASSERT_EQ(observer.chain().head_hash(), miner1.chain().head_hash());
+  ASSERT_EQ(observer.chain().head_hash(), miner2.chain().head_hash());
+  const std::optional<Bytes> state = observer.chain().state().snapshot_bytes();
+  ASSERT_TRUE(state.has_value());
+  EXPECT_EQ(to_hex(observer.chain().head_hash()),
+            "01b434690687f69bcf3112b46c9c3664138b3b82665a22c69bbcbfae5f7470e9");
+  EXPECT_EQ(net.messages_delivered(), 3812u);
+  EXPECT_EQ(to_hex(keccak256(*state)),
+            "027bfe6a6feadd5de63bfc9a2c5cbb46a737b604037977207848c843dd1e0f70");
 }
 
 }  // namespace
