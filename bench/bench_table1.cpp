@@ -270,22 +270,6 @@ int main() {
     }
   }
 
-  // --- Prepared batch verification (same items as verify_batch above) -----
-  const snark::PreparedVerifyingKey pvk = snark::PreparedVerifyingKey::prepare(parallel.vk);
-  std::vector<snark::PreparedBatchVerifyItem> prepared_items;
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    prepared_items.push_back({&pvk, parallel.statement, parallel.proof});
-  }
-  const auto tb0 = Clock::now();
-  const std::vector<std::uint8_t> prepared_ok = snark::verify_batch(prepared_items);
-  const auto tb1 = Clock::now();
-  const double verify_batch_prepared_s = std::chrono::duration<double>(tb1 - tb0).count();
-  if (std::count(prepared_ok.begin(), prepared_ok.end(), 1) != std::ssize(prepared_items)) {
-    std::fprintf(stderr, "FATAL: prepared batch verification failed\n");
-    std::exit(1);
-  }
-  std::printf("verify_batch8 (shared prepared key): %.3fs\n", verify_batch_prepared_s);
-
   // --- Pairing engine: textbook vs fast vs prepared (single-threaded) -----
   std::fprintf(stderr, "[pairing] single-threaded engine comparison...\n");
   set_num_threads(1);
@@ -364,7 +348,6 @@ int main() {
                    "no widths to ladder over\",\n");
     }
     std::fprintf(f,
-                 "  \"verify_batch_prepared_s\": %.6f,\n"
                  "  \"pairing_textbook_s\": %.6f,\n"
                  "  \"pairing_s\": %.6f,\n"
                  "  \"prepared_pairing_s\": %.6f,\n"
@@ -372,7 +355,7 @@ int main() {
                  "  \"prepared_pairing_speedup\": %.3f,\n"
                  "  \"identical_keys\": %s,\n"
                  "  \"identical_proofs\": %s,\n",
-                 verify_batch_prepared_s, pairing_textbook_s, pairing_s, prepared_pairing_s,
+                 pairing_textbook_s, pairing_s, prepared_pairing_s,
                  pairing_speedup, prepared_pairing_speedup, identical_keys ? "true" : "false",
                  identical_proofs ? "true" : "false");
     // Span totals + counters accumulated across every pass above: where the

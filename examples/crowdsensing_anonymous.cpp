@@ -6,6 +6,7 @@
 //
 //   $ ./examples/crowdsensing_anonymous
 #include <cstdio>
+#include <stdexcept>
 
 #include "zebralancer/scenario.h"
 
@@ -52,9 +53,13 @@ int main() {
     std::printf("    rewards: %llu / %llu / %llu wei (agreement threshold = 2)\n",
                 (unsigned long long)rewards[0], (unsigned long long)rewards[1],
                 (unsigned long long)rewards[2]);
-    // Return the commuter's on-chain linkability tag for this task.
+    // Return the commuter's on-chain linkability tag for this task. Answers
+    // share blocks, so find the commuter's slot by its one-task address.
     const auto* contract = net.client_node().chain().state().contract_as<TaskContract>(task);
-    return contract->submissions()[0].attestation.t1;
+    for (const TaskContract::Submission& s : contract->submissions()) {
+      if (s.worker_address == cw.reward_address(task)) return s.attestation.t1;
+    }
+    throw std::runtime_error("the commuter's submission is not on chain");
   };
 
   const Fr tag_monday = run_task("route-66-monday", 3);   // code 3: congestion
@@ -81,6 +86,10 @@ int main() {
   const auto receipt = *net.client_node().chain().find_receipt(second);
   std::printf("    second submission: %s (%s)\n", receipt.success ? "ACCEPTED (!!)" : "dropped",
               receipt.error.c_str());
+  if (tag_monday == tag_tuesday || receipt.success) {
+    std::fprintf(stderr, "FAIL: tags linked across tasks or a double claim was accepted\n");
+    return 1;
+  }
   std::printf("\n=== anonymity across tasks, accountability within a task ===\n");
   return 0;
 }

@@ -71,20 +71,45 @@ int main(int argc, char** argv) {
     while (!net.client_node().chain().find_receipt(h).has_value()) net.network().run_for(50);
   }
 
-  // Let the answering deadline lapse so collection completes with n-1.
-  const auto* contract = net.client_node().chain().state().contract_as<TaskContract>(task);
-  while (net.height() <= contract->collection_deadline()) net.network().run_for(200);
+  // Let the answering deadline lapse so collection completes with n-1. The
+  // contract is re-read after stepping: a reorg replaces the chain state.
+  const auto task_contract = [&] {
+    return net.client_node().chain().state().contract_as<TaskContract>(task);
+  };
+  const std::uint64_t deadline = task_contract()->collection_deadline();
+  while (net.height() <= deadline) net.network().run_for(200);
   std::printf("[*] answering deadline passed at block %llu; %zu/%u answers collected\n",
-              static_cast<unsigned long long>(net.height()), contract->submissions().size(), n);
+              static_cast<unsigned long long>(net.height()), task_contract()->submissions().size(),
+              n);
 
   const std::vector<std::uint64_t> rewards = requester.instruct_rewards();
   std::printf("[*] reward proof verified on chain; missing slot padded with ⊥ and paid 0\n\n");
 
-  std::printf("%-10s %-8s %-12s\n", "worker", "label", "reward(wei)");
+  // Answers share blocks, so the chain orders them: slot k holds the k-th
+  // on-chain answer. Attribute each slot to its worker by the one-task
+  // address it came from; the majority label 2 earns budget / n.
   const std::vector<Fr> answers = requester.decrypted_answers();
-  for (std::size_t i = 0; i < answers.size(); ++i) {
-    std::printf("%-10zu %-8s %-12llu\n", i, answers[i].to_bigint().get_str().c_str(),
-                static_cast<unsigned long long>(rewards[i]));
+  const auto& submissions = task_contract()->submissions();
+  bool attributed = submissions.size() == n - 1 && answers.size() == n - 1;
+  std::printf("%-10s %-8s %-12s\n", "worker", "label", "reward(wei)");
+  for (unsigned i = 0; i + 1 < n && attributed; ++i) {
+    std::size_t k = 0;
+    while (k < submissions.size() &&
+           !(submissions[k].worker_address == workers[i].reward_address(task))) {
+      ++k;
+    }
+    if (k == submissions.size()) {
+      attributed = false;
+      break;
+    }
+    const std::uint64_t label = (i % 3 == 2) ? 0 : 2;
+    std::printf("%-10u %-8s %-12llu\n", i, answers[k].to_bigint().get_str().c_str(),
+                static_cast<unsigned long long>(rewards[k]));
+    attributed = answers[k] == Fr::from_u64(label) && rewards[k] == (label == 2 ? budget / n : 0);
+  }
+  if (!attributed) {
+    std::fprintf(stderr, "FAIL: answers or rewards do not match the workers who sent them\n");
+    return 1;
   }
   std::printf("%-10u %-8s %-12s\n", n - 1, "⊥", "0 (never submitted)");
   std::printf("\nblocks mined: %zu, chain height: %llu\n", net.total_blocks_mined(),

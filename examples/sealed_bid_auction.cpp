@@ -52,12 +52,30 @@ int main() {
   std::printf("\n[*] the requester decrypts off-chain and proves the clearing correct...\n");
   const std::vector<std::uint64_t> rewards = requester.instruct_rewards();
 
+  // Bids share blocks, so the chain orders them: rewards[k] pays the k-th
+  // on-chain bid. Attribute each payment to its bidder by the one-task
+  // address the bid came from.
+  const auto* contract = net.client_node().chain().state().contract_as<TaskContract>(task);
+  const std::uint64_t expected[4] = {0, 700, 0, 700};
+  bool attributed = contract != nullptr && contract->submissions().size() == 4;
   std::printf("\n%-10s %-8s %-14s\n", "bidder", "bid", "payment(wei)");
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 4 && attributed; ++i) {
+    const chain::Address bidder = bidders[i].reward_address(task);
+    std::size_t k = 0;
+    while (k < 4 && !(contract->submissions()[k].worker_address == bidder)) ++k;
+    if (k == 4) {
+      attributed = false;
+      break;
+    }
     std::printf("%-10s %-8llu %-14llu %s\n", names[i],
                 static_cast<unsigned long long>(bids[i]),
-                static_cast<unsigned long long>(rewards[i]),
-                rewards[i] > 0 ? "<- wins a slot" : "");
+                static_cast<unsigned long long>(rewards[k]),
+                rewards[k] > 0 ? "<- wins a slot" : "");
+    attributed = rewards[k] == expected[i];
+  }
+  if (!attributed) {
+    std::fprintf(stderr, "FAIL: payments do not match the bidders' clearing outcome\n");
+    return 1;
   }
   std::printf(
       "\nThe two lowest bidders (450, 500) win and are both paid the third-\n"

@@ -1,5 +1,6 @@
 #include "snark/groth16.h"
 
+#include <map>
 #include <stdexcept>
 
 #include "common/thread_pool.h"
@@ -239,6 +240,7 @@ const Fq12& VerifyingKey::alpha_beta_gt() const {
 }
 
 PreparedVerifyingKey PreparedVerifyingKey::prepare(const VerifyingKey& vk) {
+  ZL_OBS_COUNTER_ADD("snark.prepare_key", 1);
   PreparedVerifyingKey pvk;
   pvk.beta_g2 = G2Prepared(vk.beta_g2);
   pvk.gamma_g2 = G2Prepared(vk.gamma_g2);
@@ -290,24 +292,21 @@ bool verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs, const 
 }
 
 std::vector<std::uint8_t> verify_batch(const std::vector<BatchVerifyItem>& items) {
+  std::map<Bytes, std::size_t> key_slot;  // serialized key -> index into prepared
+  std::vector<PreparedVerifyingKey> prepared;
+  std::vector<std::size_t> slot(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const auto [it, fresh] = key_slot.try_emplace(items[i].vk.to_bytes(), prepared.size());
+    if (fresh) prepared.push_back(PreparedVerifyingKey::prepare(items[i].vk));
+    slot[i] = it->second;
+  }
   std::vector<std::uint8_t> ok(items.size(), 0);
   // std::vector<std::uint8_t> (not <bool>) so parallel writes hit disjoint
   // bytes. Nested parallelism inside verify() degrades to serial per item.
   parallel_for(
       items.size(),
       [&](std::size_t i) {
-        ok[i] = verify(items[i].vk, items[i].public_inputs, items[i].proof) ? 1 : 0;
-      },
-      /*min_grain=*/1);
-  return ok;
-}
-
-std::vector<std::uint8_t> verify_batch(const std::vector<PreparedBatchVerifyItem>& items) {
-  std::vector<std::uint8_t> ok(items.size(), 0);
-  parallel_for(
-      items.size(),
-      [&](std::size_t i) {
-        ok[i] = verify(*items[i].pvk, items[i].public_inputs, items[i].proof) ? 1 : 0;
+        ok[i] = verify(prepared[slot[i]], items[i].public_inputs, items[i].proof) ? 1 : 0;
       },
       /*min_grain=*/1);
   return ok;

@@ -97,34 +97,19 @@ bool verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs, const 
 bool verify(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_inputs,
             const Proof& proof);
 
-/// One entry of a batch verification. Entries own their verifying-key copy
-/// so concurrent verification never races on the lazily-cached e(alpha,
-/// beta) of a shared key.
+/// One entry of a batch verification.
 struct BatchVerifyItem {
   VerifyingKey vk;
   std::vector<Fr> public_inputs;
   Proof proof;
 };
 
-/// Verifies many proofs with parallel Miller loops: entries are checked
-/// concurrently on the thread pool, each one fully and independently, so a
-/// bad proof in a batch is pinpointed (ok[i] == 0), not just detected.
-/// Used by the task-contract audit path, where the test-net re-checks one
-/// reward proof per finished task.
+/// Verifies many proofs with parallel Miller loops. Each distinct key
+/// (by serialized bytes) is prepared once per call, before the parallel
+/// phase; then entries are checked concurrently on the thread pool, each one
+/// fully and independently, so a bad proof in a batch is pinpointed
+/// (ok[i] == 0), not just detected. Used by block prevalidation (one block's
+/// answers share their task's auth key) and the task-contract audit.
 std::vector<std::uint8_t> verify_batch(const std::vector<BatchVerifyItem>& items);
-
-/// One entry of a prepared batch verification. The key pointer must be
-/// non-null and outlive the call; many entries may share one prepared key,
-/// which is how the audit path pays each G2 precomputation exactly once per
-/// distinct verifying key across a whole batch.
-struct PreparedBatchVerifyItem {
-  const PreparedVerifyingKey* pvk = nullptr;
-  std::vector<Fr> public_inputs;
-  Proof proof;
-};
-
-/// Prepared-key batch verification: same parallel schedule and bit-identical
-/// ok-flags as verify_batch, minus the per-item key preparation.
-std::vector<std::uint8_t> verify_batch(const std::vector<PreparedBatchVerifyItem>& items);
 
 }  // namespace zl::snark

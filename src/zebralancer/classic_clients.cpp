@@ -80,10 +80,11 @@ std::vector<Fr> ClassicRequesterClient::decrypted_answers() const {
 }
 
 std::vector<std::uint64_t> ClassicRequesterClient::instruct_rewards() {
-  const TaskContract& task = contract();
-  if (!task.collection_complete(net_.height())) {
+  if (!collection_complete()) {
     throw std::logic_error("ClassicRequesterClient: collection still open");
   }
+  net_.settle_collection(task_address_);
+  const TaskContract& task = contract();
   const std::unique_ptr<IncentivePolicy> policy =
       IncentivePolicy::by_name(task.params().policy_name);
   std::vector<AnswerCiphertext> cts;

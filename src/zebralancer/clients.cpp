@@ -70,6 +70,8 @@ chain::Address RequesterClient::publish(const TaskSpec& spec, const Fr& registry
 
   const Bytes ctor_args = params.to_bytes();
   const std::uint64_t gas = 2'000'000 + 2 * ctor_args.size();
+  // The deploy waits in the mempool until the transfer funds alpha_R, so
+  // publishing waits for one confirmation, the deploy's.
   net_.fund(alpha_r, spec.budget + gas + 3'000'000);
 
   const Transaction deploy = wallet_->make_transaction(Address(), spec.budget, gas,
@@ -105,10 +107,11 @@ std::vector<Fr> RequesterClient::decrypted_answers() const {
 }
 
 std::vector<std::uint64_t> RequesterClient::instruct_rewards() {
+  if (!collection_complete()) throw std::logic_error("RequesterClient: collection still open");
+  // Prove against the settled submission order; settling steps the network,
+  // so the contract is read only afterwards.
+  net_.settle_collection(task_address_);
   const TaskContract& task = contract();
-  if (!task.collection_complete(net_.height())) {
-    throw std::logic_error("RequesterClient: collection still open");
-  }
   // Pad to n with ⊥ placeholders exactly like the contract does.
   const std::unique_ptr<IncentivePolicy> policy =
       IncentivePolicy::by_name(task.params().policy_name);
@@ -164,7 +167,9 @@ Bytes WorkerClient::submit_answer(const Address& task_address, const Fr& answer)
     throw std::invalid_argument("WorkerClient: task data unavailable in off-chain storage");
   }
 
-  // One-task-only address alpha_i, funded for gas.
+  // One-task-only address alpha_i, funded for gas. The answer does not wait
+  // for the transfer: miners hold it back until alpha_i is funded, and a
+  // transfer that never lands leaves the answer without a receipt.
   auto wallet = std::make_unique<Wallet>(rng_);
   const Address alpha_i = wallet->address();
   net_.fund(alpha_i, 3'000'000);

@@ -62,8 +62,10 @@ class RequesterClient {
   /// Whether the contract has collected n answers (or the deadline passed).
   bool collection_complete() const;
 
-  /// Reward phase: retrieve + decrypt all ciphertexts, compute rewards per
-  /// the policy, prove, and send the instruction. Returns the rewards.
+  /// Reward phase: wait until the submission order is settled (see
+  /// TestNet::settle_collection), retrieve + decrypt all ciphertexts,
+  /// compute rewards per the policy, prove, and send the instruction.
+  /// Returns the rewards, in on-chain submission order.
   std::vector<std::uint64_t> instruct_rewards();
 
   /// Retrieve and decrypt the collected answers (requester-only knowledge).
@@ -102,8 +104,9 @@ class WorkerClient {
 
   /// AnswerCollection: validate the task, fresh one-task address, encrypt
   /// under the task's epk, authenticate alpha_C || alpha_i || C_i, submit.
-  /// Returns the submission transaction hash (confirmation is the caller's
-  /// concern: the chain decides).
+  /// Returns the submission transaction hash without waiting for the
+  /// funding transfer or the answer to confirm (the caller's concern: the
+  /// chain decides, and orders answers that share a block).
   Bytes submit_answer(const chain::Address& task_address, const Fr& answer);
 
   /// The one-task address used for the given task (where rewards arrive).

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/obs.h"
+
 namespace zl::zebralancer {
 
 using chain::Address;
@@ -49,6 +51,7 @@ TestNet::TestNet(const Config& config)
 }
 
 Receipt TestNet::submit_and_confirm(const Transaction& tx, std::uint64_t deadline_ms) {
+  ZL_TRACE_SPAN("testnet.submit_and_confirm");
   client_node().submit_transaction(tx);
   const Bytes hash = tx.hash();
   const std::uint64_t deadline = network_.now() + deadline_ms;
@@ -75,9 +78,27 @@ Receipt TestNet::submit_and_confirm(const Transaction& tx, std::uint64_t deadlin
   throw std::runtime_error(diag);
 }
 
-void TestNet::fund(const Address& to, std::uint64_t amount) {
-  const Receipt r = submit_and_confirm(faucet_->make_transaction(to, amount, 21'000, "", {}));
-  if (!r.success) throw std::runtime_error("TestNet: funding transfer failed");
+Bytes TestNet::fund(const Address& to, std::uint64_t amount) {
+  const Transaction transfer = faucet_->make_transaction(to, amount, 21'000, "", {});
+  client_node().submit_transaction(transfer);
+  return transfer.hash();
+}
+
+void TestNet::settle_collection(const Address& task) {
+  ZL_TRACE_SPAN("testnet.settle_collection");
+  const std::uint64_t deadline = network_.now() + 120'000;
+  for (;;) {
+    // Re-read the contract every step: a reorg replaces the chain state.
+    const auto* contract = client_node().chain().state().contract_as<TaskContract>(task);
+    if (contract != nullptr && contract->collection_complete(height()) &&
+        height() > contract->collection_end_block()) {
+      return;
+    }
+    if (network_.now() >= deadline) {
+      throw std::runtime_error("TestNet: task collection not settled before deadline");
+    }
+    network_.run_for(20);
+  }
 }
 
 void TestNet::advance_blocks(std::uint64_t blocks, std::uint64_t deadline_ms) {

@@ -30,13 +30,23 @@ class TestNet {
   chain::Node& client_node(unsigned i = 0) { return *full_nodes_.at(i); }
   const chain::Node& client_node(unsigned i = 0) const { return *full_nodes_.at(i); }
 
-  /// Faucet transfer, confirmed before returning.
-  void fund(const chain::Address& to, std::uint64_t amount);
+  /// Faucet transfer, submitted but not waited for. Returns its tx hash.
+  /// A transaction from `to` may be sent right after: miners hold it back
+  /// until the transfer has funded it (Mempool::build_block).
+  Bytes fund(const chain::Address& to, std::uint64_t amount);
 
   /// Submit a transaction via the client node and run the network until it
   /// is confirmed (throws on timeout). Returns its receipt.
   chain::Receipt submit_and_confirm(const chain::Transaction& tx,
                                     std::uint64_t deadline_ms = 120'000);
+
+  /// Run the network until the task's submission list is settled on the
+  /// client node: collection is complete and the block that completed it
+  /// has a block on top — the confirmation rule of submit_and_confirm.
+  /// Answers share blocks, so competing blocks may hold them in different
+  /// orders; a reward instruction proves against this settled order.
+  /// Throws if that takes more than two simulated minutes.
+  void settle_collection(const chain::Address& task);
 
   /// Run the network until `blocks` more blocks are mined.
   void advance_blocks(std::uint64_t blocks, std::uint64_t deadline_ms = 240'000);

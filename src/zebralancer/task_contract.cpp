@@ -1,7 +1,6 @@
 #include "zebralancer/task_contract.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 
 #include "chain/state.h"
@@ -242,9 +241,7 @@ void TaskContract::restore_state(const Bytes& state) {
 }
 
 std::uint64_t TaskContract::instruction_deadline() const {
-  const std::uint64_t collection_end =
-      collection_end_block_ != 0 ? collection_end_block_ : collection_deadline();
-  return collection_end + params_.instruct_deadline_blocks;
+  return collection_end_block() + params_.instruct_deadline_blocks;
 }
 
 bool TaskContract::collection_complete(std::uint64_t block_number) const {
@@ -432,11 +429,9 @@ std::vector<Fr> TaskContract::reward_audit_statement() const {
 
 std::vector<std::size_t> audit_rewarded_tasks(const chain::ChainState& state,
                                               const std::vector<chain::Address>& addresses) {
-  // Tasks deployed from the same circuit share a verifying key; the prepared
-  // keys are deduplicated by serialized bytes so each distinct G2 triple is
-  // precomputed exactly once for the whole batch.
-  std::map<Bytes, std::unique_ptr<snark::PreparedVerifyingKey>> prepared_keys;
-  std::vector<snark::PreparedBatchVerifyItem> items;
+  // Tasks deployed from the same circuit share a verifying key, which
+  // verify_batch prepares once for the whole batch.
+  std::vector<snark::BatchVerifyItem> items;
   std::vector<std::size_t> item_index;  // items[k] audits addresses[item_index[k]]
   std::vector<std::size_t> failed;
   for (std::size_t i = 0; i < addresses.size(); ++i) {
@@ -445,12 +440,7 @@ std::vector<std::size_t> audit_rewarded_tasks(const chain::ChainState& state,
       failed.push_back(i);
       continue;
     }
-    auto& slot = prepared_keys[task->reward_vk().to_bytes()];
-    if (!slot) {
-      slot = std::make_unique<snark::PreparedVerifyingKey>(
-          snark::PreparedVerifyingKey::prepare(task->reward_vk()));
-    }
-    items.push_back({slot.get(), task->reward_audit_statement(), task->reward_proof()});
+    items.push_back({task->reward_vk(), task->reward_audit_statement(), task->reward_proof()});
     item_index.push_back(i);
   }
   const std::vector<std::uint8_t> ok = snark::verify_batch(items);

@@ -108,6 +108,12 @@ class TaskContract : public chain::Contract {
   std::uint64_t collection_deadline() const {
     return deploy_block_ + params_.answer_deadline_blocks;
   }
+  /// Block that closed collection: the one holding the n-th answer, or the
+  /// answering deadline when fewer arrived. The submission list is final
+  /// once this block is final.
+  std::uint64_t collection_end_block() const {
+    return collection_end_block_ != 0 ? collection_end_block_ : collection_deadline();
+  }
   /// Block at which the instruction window closes.
   std::uint64_t instruction_deadline() const;
   bool collection_complete(std::uint64_t block_number) const;

@@ -164,9 +164,23 @@ TEST(AuctionPolicy, EndToEndProcurementAuction) {
     while (!net.client_node().chain().find_receipt(h).has_value()) net.network().run_for(50);
   }
   const std::vector<std::uint64_t> rewards = requester.instruct_rewards();
-  // Bidder 1 wins at the second-lowest price 650.
-  EXPECT_EQ(rewards, (std::vector<std::uint64_t>{0, 650, 0}));
+  // Bidder 1 wins at the second-lowest price 650. Bids share blocks, so the
+  // chain orders them: attribute each paid slot to its bidder by address.
   const auto& state = net.client_node().chain().state();
+  const auto* contract = state.contract_as<TaskContract>(task);
+  ASSERT_NE(contract, nullptr);
+  ASSERT_EQ(contract->submissions().size(), 3u);
+  ASSERT_EQ(rewards.size(), 3u);
+  const std::uint64_t expected[3] = {0, 650, 0};
+  for (std::size_t k = 0; k < 3; ++k) {
+    int bidder = 0;
+    while (bidder < 3 &&
+           !(bidders[bidder].reward_address(task) == contract->submissions()[k].worker_address)) {
+      ++bidder;
+    }
+    ASSERT_LT(bidder, 3) << "slot " << k << " belongs to no bidder";
+    EXPECT_EQ(rewards[k], expected[bidder]) << "slot " << k << " (bidder " << bidder << ")";
+  }
   EXPECT_EQ(state.balance_of(task), 0u);
 }
 

@@ -1,11 +1,13 @@
 // Fast pairing engine tests: the G2Prepared / sparse-line / cyclotomic path
 // must be bit-identical to the retained textbook pairing on every input, and
-// the prepared Groth16 verifier must agree with the unprepared one.
+// the prepared Groth16 verifier and the batch verifier must agree with the
+// unprepared one.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "ec/pairing.h"
+#include "obs/obs.h"
 #include "snark/groth16.h"
 
 namespace zl {
@@ -150,26 +152,36 @@ TEST(PreparedGroth16, AgreesWithUnprepared) {
   EXPECT_FALSE(snark::verify(pvk, bad_statement, proof));
 }
 
-TEST(PreparedGroth16, BatchMatchesUnpreparedBatch) {
+TEST(PreparedGroth16, BatchMatchesPerProofVerify) {
   CubicCircuit c;
   Rng rng(407);
   const auto keys = snark::setup(c.cs, rng);
-  const auto pvk = snark::PreparedVerifyingKey::prepare(keys.vk);
+  const auto other = snark::setup(c.cs, rng);  // a second key, interleaved
 
-  std::vector<snark::BatchVerifyItem> plain;
-  std::vector<snark::PreparedBatchVerifyItem> prepared;
+  std::vector<snark::BatchVerifyItem> items;
   for (std::uint64_t x_val = 2; x_val < 6; ++x_val) {
     const auto z = c.assignment(x_val);
     const std::vector<Fr> statement(z.begin() + 1, z.begin() + 1 + c.cs.num_inputs);
-    auto proof = snark::prove(keys.pk, c.cs, z, rng);
+    const auto& kp = x_val == 3 ? other : keys;
+    auto proof = snark::prove(kp.pk, c.cs, z, rng);
     if (x_val == 4) proof.c = proof.c + G1::generator();  // plant one bad entry
-    plain.push_back({keys.vk, statement, proof});
-    prepared.push_back({&pvk, statement, proof});
+    items.push_back({kp.vk, statement, proof});
   }
-  const auto ok_plain = snark::verify_batch(plain);
-  const auto ok_prepared = snark::verify_batch(prepared);
-  EXPECT_EQ(ok_plain, ok_prepared);
-  EXPECT_EQ(ok_prepared, (std::vector<std::uint8_t>{1, 1, 0, 1}));
+  const snark::BatchVerifyItem wrong_key{keys.vk, items[1].public_inputs, items[1].proof};
+  items.push_back(wrong_key);  // the other key's proof, checked under the first key
+
+  zl::obs::reset();
+  const auto ok = snark::verify_batch(items);
+  if (ZL_OBS_ENABLED) {
+    EXPECT_EQ(zl::obs::snapshot().counter("snark.prepare_key"), 2u)
+        << "each distinct key is prepared once per batch";
+  }
+  std::vector<std::uint8_t> per_proof;
+  for (const auto& item : items) {
+    per_proof.push_back(snark::verify(item.vk, item.public_inputs, item.proof) ? 1 : 0);
+  }
+  EXPECT_EQ(ok, per_proof);
+  EXPECT_EQ(ok, (std::vector<std::uint8_t>{1, 1, 0, 1, 0}));
 }
 
 }  // namespace

@@ -285,16 +285,32 @@ TEST_F(EndToEndTest, FullImageAnnotationTask) {
   }
   ASSERT_TRUE(requester->collection_complete());
 
+  // Answers share blocks, so the chain, not the call order, orders them:
+  // attribute each on-chain slot to its worker by the reward address.
+  const auto slot_owners = [&] {
+    const auto* contract = net->client_node().chain().state().contract_as<TaskContract>(task);
+    std::vector<int> owner;
+    for (const auto& s : contract->submissions()) {
+      int w = 0;
+      while (w < 3 && !(workers[w]->reward_address(task) == s.worker_address)) ++w;
+      owner.push_back(w);
+    }
+    return owner;
+  };
+
   // The requester (and only she) reads the answers.
   const std::vector<Fr> decrypted = requester->decrypted_answers();
   ASSERT_EQ(decrypted.size(), 3u);
-  EXPECT_EQ(decrypted[0], labels[0]);
-  EXPECT_EQ(decrypted[2], labels[2]);
+  std::vector<int> owner = slot_owners();
+  ASSERT_EQ(owner.size(), 3u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    ASSERT_LT(owner[k], 3) << "slot " << k << " belongs to no worker";
+    EXPECT_EQ(decrypted[k], labels[owner[k]]) << "slot " << k;
+  }
 
   // On chain there are only ciphertexts — no plaintext answer appears.
-  const auto* contract = net->client_node().chain().state().contract_as<TaskContract>(task);
-  ASSERT_NE(contract, nullptr);
-  for (const auto& s : contract->submissions()) {
+  for (const auto& s :
+       net->client_node().chain().state().contract_as<TaskContract>(task)->submissions()) {
     EXPECT_NE(s.ciphertext.payload, labels[0]);
     EXPECT_NE(s.ciphertext.payload, labels[2]);
   }
@@ -305,12 +321,22 @@ TEST_F(EndToEndTest, FullImageAnnotationTask) {
   const std::uint64_t w2_before =
       net->client_node().chain().state().balance_of(workers[2]->reward_address(task));
   const std::vector<std::uint64_t> rewards = requester->instruct_rewards();
-  EXPECT_EQ(rewards, (std::vector<std::uint64_t>{1'000'000, 1'000'000, 0}));
+  // instruct_rewards stepped the network: re-read the settled order.
+  owner = slot_owners();
+  const std::uint64_t expected[3] = {1'000'000, 1'000'000, 0};
+  ASSERT_EQ(rewards.size(), 3u);
+  ASSERT_EQ(owner.size(), 3u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    ASSERT_LT(owner[k], 3) << "slot " << k << " belongs to no worker";
+    EXPECT_EQ(rewards[k], expected[owner[k]]) << "slot " << k << " (worker " << owner[k] << ")";
+  }
 
   const auto& state = net->client_node().chain().state();
   EXPECT_EQ(state.balance_of(workers[0]->reward_address(task)), w0_before + 1'000'000);
   EXPECT_EQ(state.balance_of(workers[2]->reward_address(task)), w2_before)
       << "the minority answer earns nothing";
+  const auto* contract = state.contract_as<TaskContract>(task);
+  ASSERT_NE(contract, nullptr);
   EXPECT_TRUE(contract->finalized());
   EXPECT_TRUE(contract->rewarded());
   // Contract balance fully disbursed (remainder refunded to alpha_R).
