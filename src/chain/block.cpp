@@ -19,14 +19,12 @@ Bytes BlockHeader::to_bytes() const {
 }
 
 Bytes Block::compute_tx_root(const std::vector<Transaction>& txs) {
-  return merkle_root(tx_hashes(txs));
-}
-
-Bytes Block::merkle_root(const std::vector<Hash32>& leaves) {
-  if (leaves.empty()) return Bytes(32, 0x00);
+  if (txs.empty()) return Bytes(32, 0x00);
   // Each level is folded in place into the front of one buffer: node i of
   // the next level is keccak(left || right) over a fixed 64-byte pair.
-  std::vector<Hash32> layer = leaves;
+  std::vector<Hash32> layer;
+  layer.reserve(txs.size());
+  for (const Transaction& tx : txs) layer.push_back(tx.id());
   std::array<std::uint8_t, 64> pair;
   for (std::size_t n = layer.size(); n > 1; n = (n + 1) / 2) {
     for (std::size_t i = 0; i < n; i += 2) {
@@ -45,11 +43,8 @@ bool proof_of_work_valid(const BlockHeader& header) {
   return bigint_from_bytes(header.hash()) < target;
 }
 
-bool Block::well_formed() const { return well_formed(tx_hashes(transactions)); }
-
-bool Block::well_formed(const std::vector<Hash32>& leaves) const {
-  return leaves.size() == transactions.size() && header.tx_root == merkle_root(leaves) &&
-         proof_of_work_valid(header);
+bool Block::well_formed() const {
+  return header.tx_root == compute_tx_root(transactions) && proof_of_work_valid(header);
 }
 
 }  // namespace zl::chain

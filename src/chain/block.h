@@ -29,18 +29,12 @@ struct Block {
 
   Bytes hash() const { return header.hash(); }
 
-  /// Keccak Merkle root over transaction hashes (pairwise, duplicate-last).
+  /// Keccak Merkle root over the transactions' stored hashes (pairwise,
+  /// duplicate-last).
   static Bytes compute_tx_root(const std::vector<Transaction>& txs);
-  /// The same root over already-computed leaves (leaves[i] == txs[i].hash()).
-  /// Distinctly named so `compute_tx_root({})` stays unambiguous.
-  static Bytes merkle_root(const std::vector<Hash32>& leaves);
 
   /// header.tx_root matches the transactions and the PoW target is met.
   bool well_formed() const;
-  /// The same check over the body's already-computed leaves
-  /// (leaves[i] == transactions[i].hash()). A pure predicate: it fills no
-  /// cache, so a wrong leaf can only make it return a wrong answer.
-  bool well_formed(const std::vector<Hash32>& leaves) const;
 };
 
 /// PoW check: keccak(header) < 2^256 / difficulty.

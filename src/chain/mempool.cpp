@@ -43,18 +43,17 @@ Mempool::Admission record_admission(Mempool::Admission a) {
 
 std::optional<Mempool::Admission> Mempool::gate(const Transaction& tx,
                                                 std::uint64_t chain_nonce) {
-  if (tx.nonce < chain_nonce) return Admission::kNonceTooLow;
-  if (tx.gas_limit < tx.intrinsic_gas()) return Admission::kInvalid;
+  if (tx.nonce() < chain_nonce) return Admission::kNonceTooLow;
+  if (tx.gas_limit() < tx.intrinsic_gas()) return Admission::kInvalid;
   // An escrow whose gas_limit + value wraps uint64 can never be funded, yet
   // its fee bid sorts it first — unrejected it would sit unconfirmable at
   // the top of every block template. Refuse it at the gate.
-  if (tx.value > std::numeric_limits<std::uint64_t>::max() - tx.gas_limit)
+  if (tx.value() > std::numeric_limits<std::uint64_t>::max() - tx.gas_limit())
     return Admission::kInvalid;
   return std::nullopt;
 }
 
-Mempool::Admission Mempool::admit(const Transaction& tx, const Hash32& tx_hash,
-                                  std::uint64_t chain_nonce) {
+Mempool::Admission Mempool::admit(const Transaction& tx, std::uint64_t chain_nonce) {
   // Stateless checks run before the lock so ECDSA verification — by far the
   // most expensive step — never serializes concurrent gossip threads. This
   // preserves admission results: a transaction failing any of these checks
@@ -65,15 +64,15 @@ Mempool::Admission Mempool::admit(const Transaction& tx, const Hash32& tx_hash,
   if (const std::optional<Admission> rejected = gate(tx, chain_nonce)) {
     return record_admission(*rejected);
   }
-  if (!tx.verify_signature(tx_hash)) return record_admission(Admission::kInvalid);
+  if (!tx.verify_signature()) return record_admission(Admission::kInvalid);
 
   MutexLock lock(mu_);
-  if (by_hash_.contains(tx_hash)) return record_admission(Admission::kDuplicate);
+  if (by_hash_.contains(tx.id())) return record_admission(Admission::kDuplicate);
 
   const std::uint64_t fee = fee_of(tx);
   bool replacing = false;
-  if (const auto sc = by_sender_.find(tx.from); sc != by_sender_.end()) {
-    const auto slot = sc->second.find(tx.nonce);
+  if (const auto sc = by_sender_.find(tx.from()); sc != by_sender_.end()) {
+    const auto slot = sc->second.find(tx.nonce());
     replacing = slot != sc->second.end();
     if (replacing && fee < slot->second.fee + kReplacementBump) {
       return record_admission(Admission::kUnderpriced);
@@ -89,20 +88,20 @@ Mempool::Admission Mempool::admit(const Transaction& tx, const Hash32& tx_hash,
     // sender chain is only acquired below, after the eviction.
     evict_cheapest();
   }
-  SenderChain& chain = by_sender_[tx.from];
-  if (replacing) unlink(chain, chain.find(tx.nonce));
+  SenderChain& chain = by_sender_[tx.from()];
+  if (replacing) unlink(chain, chain.find(tx.nonce()));
 
-  Entry entry{tx, tx_hash, fee, next_seq_++};
-  by_hash_[tx_hash] = {tx.from, tx.nonce};
-  by_fee_[{fee, entry.seq}] = {tx.from, tx.nonce};
-  chain.emplace(tx.nonce, std::move(entry));
+  Entry entry{tx, fee, next_seq_++};
+  by_hash_[tx.id()] = {tx.from(), tx.nonce()};
+  by_fee_[{fee, entry.seq}] = {tx.from(), tx.nonce()};
+  chain.emplace(tx.nonce(), std::move(entry));
   version_.fetch_add(1, std::memory_order_release);
   ZL_OBS_GAUGE_SET("mempool.size", by_hash_.size());
   return record_admission(replacing ? Admission::kReplaced : Admission::kAdmitted);
 }
 
 Mempool::SenderChain::iterator Mempool::unlink(SenderChain& chain, SenderChain::iterator it) {
-  by_hash_.erase(it->second.hash);
+  by_hash_.erase(it->second.tx.id());
   by_fee_.erase({it->second.fee, it->second.seq});
   version_.fetch_add(1, std::memory_order_release);
   return chain.erase(it);
@@ -146,8 +145,8 @@ void Mempool::drop(const Hash32& tx_hash) {
   if (sc->second.empty()) by_sender_.erase(sc);
 }
 
-std::vector<Transaction> Mempool::build_block(const ChainState& state, std::size_t max_txs,
-                                              std::vector<Hash32>* tx_hashes) const {
+std::vector<Transaction> Mempool::build_block(const ChainState& state,
+                                              std::size_t max_txs) const {
   // Span and timer sit above the lock so their destructors (which take the
   // rank-86 trace-ring mutex) run after mu_ is released.
   ZL_TRACE_SPAN("mempool.build_block");
@@ -178,7 +177,6 @@ std::vector<Transaction> Mempool::build_block(const ChainState& state, std::size
   std::make_heap(heap.begin(), heap.end(), lower_priority);
 
   std::vector<Transaction> out;
-  if (tx_hashes != nullptr) tx_hashes->clear();
   std::unordered_map<Address, std::uint64_t> spend_bound;
   while (!heap.empty() && out.size() < max_txs) {
     std::pop_heap(heap.begin(), heap.end(), lower_priority);
@@ -191,14 +189,15 @@ std::vector<Transaction> Mempool::build_block(const ChainState& state, std::size
     // past the balance check and wedge the template on an unfundable tx.
     std::uint64_t& bound = spend_bound[*head.sender];
     const std::uint64_t balance = state.balance_of(*head.sender);
-    if (tx.value > balance || tx.gas_limit > balance - tx.value) continue;  // chain stops here
-    const std::uint64_t cost = tx.gas_limit + tx.value;
+    if (tx.value() > balance || tx.gas_limit() > balance - tx.value()) {
+      continue;  // chain stops here
+    }
+    const std::uint64_t cost = tx.gas_limit() + tx.value();
     if (bound > balance - cost) continue;  // chain stops here
     bound += cost;
     out.push_back(tx);
-    if (tx_hashes != nullptr) tx_hashes->push_back(head.it->second.hash);
     const auto next = std::next(head.it);
-    if (next != head.chain->end() && next->first == tx.nonce + 1) {
+    if (next != head.chain->end() && next->first == tx.nonce() + 1) {
       heap.push_back({next->second.fee, next->second.seq, head.sender, head.chain, next});
       std::push_heap(heap.begin(), heap.end(), lower_priority);
     }

@@ -82,18 +82,11 @@ class Mempool {
   }
 
   /// Fee bid (gas priced at 1 wei/gas: the escrowed gas limit).
-  static std::uint64_t fee_of(const Transaction& tx) { return tx.gas_limit; }
+  static std::uint64_t fee_of(const Transaction& tx) { return tx.gas_limit(); }
 
   /// Admit `tx` given the sender's current chain nonce. Counts as accepted
   /// (worth re-gossiping) when the result is kAdmitted or kReplaced.
-  Admission admit(const Transaction& tx, std::uint64_t chain_nonce) ZL_EXCLUDES(mu_) {
-    return admit(tx, to_hash32(tx.hash()), chain_nonce);
-  }
-  /// The same, for a caller already holding `tx_hash` == tx.hash(): the
-  /// transaction is not re-serialized and re-hashed for the pool index or
-  /// the signature check.
-  Admission admit(const Transaction& tx, const Hash32& tx_hash, std::uint64_t chain_nonce)
-      ZL_EXCLUDES(mu_);
+  Admission admit(const Transaction& tx, std::uint64_t chain_nonce) ZL_EXCLUDES(mu_);
   /// The cheap stateless gates admit() runs before the signature check:
   /// the rejection code a transaction gets from them at `chain_nonce`, or
   /// nullopt if it passes. Batched admission applies the same gates before it
@@ -113,11 +106,8 @@ class Mempool {
 
   /// Deterministic block template: up to `max_txs` transactions, highest fee
   /// first across senders, in nonce order per sender, skipping anything the
-  /// sender cannot fund on top of what the template already commits. With
-  /// `tx_hashes`, it is filled with the pooled hash of each selected
-  /// transaction, in order: the template's Merkle leaves, without a re-hash.
-  std::vector<Transaction> build_block(const ChainState& state, std::size_t max_txs,
-                                       std::vector<Hash32>* tx_hashes = nullptr) const
+  /// sender cannot fund on top of what the template already commits.
+  std::vector<Transaction> build_block(const ChainState& state, std::size_t max_txs) const
       ZL_EXCLUDES(mu_);
 
   bool contains(const Hash32& tx_hash) const ZL_EXCLUDES(mu_) {
@@ -136,7 +126,6 @@ class Mempool {
  private:
   struct Entry {
     Transaction tx;
-    Hash32 hash;
     std::uint64_t fee = 0;
     std::uint64_t seq = 0;  // admission order, tie-break
   };

@@ -9,9 +9,9 @@
 //
 // Transaction ingress is batched (DESIGN.md §17): a submission or a gossip
 // delivery queues (node, tx), and the network admits the queue at fixed flush
-// points — hashing every entry and pre-verifying the signatures of unseen
-// transactions on the thread pool, then admitting serially in arrival order,
-// which keeps the event schedule exactly that of one-at-a-time admission.
+// points — pre-verifying the signatures of unseen transactions on the thread
+// pool, then admitting serially in arrival order, which keeps the event
+// schedule exactly that of one-at-a-time admission.
 //
 // Threading (DESIGN.md §13): the simulator is deliberately single-threaded —
 // SimNetwork, Node, and MinerNode hold no locks of their own, which is what
@@ -98,9 +98,9 @@ class SimNetwork {
   void enqueue_transaction(int dst, Transaction tx) {
     pending_.push_back(PendingTx{dst, std::move(tx)});
   }
-  /// Admit the queued transactions: hash them and warm the signature memo
-  /// for the ones their target has not seen, in parallel (when parallel
-  /// validation is on), then hand them to their nodes in arrival order.
+  /// Admit the queued transactions: warm the signature memo for the ones
+  /// their target has not seen, in parallel (when parallel validation is
+  /// on), then hand them to their nodes in arrival order.
   void admit_pending();
 
   Config config_;
@@ -149,15 +149,13 @@ class Node {
  protected:
   friend class SimNetwork;  // batched admission calls accept_transaction
 
-  /// Admit one transaction; `tx_hash` must be tx.hash().
-  void accept_transaction(const Transaction& tx, const Hash32& tx_hash, bool rebroadcast);
+  void accept_transaction(const Transaction& tx, bool rebroadcast);
+  /// A peer's block: dropped unless it is well formed at this chain's
+  /// difficulty, then connected.
   void accept_block(const Block& block, bool rebroadcast);
-  /// accept_block for a body already hashed: `block_hash` == block.hash()
-  /// and `tx_hashes` == tx_hashes(block.transactions). The hashes travel with
-  /// the block into the chain (and the orphan pool), so each node hashes a
-  /// body at most once.
-  void connect_block(const Block& block, const Hash32& block_hash,
-                     std::vector<Hash32> tx_hashes, bool rebroadcast);
+  /// Stash, park or add a block known to be well formed, with
+  /// `block_hash` == block.hash().
+  void connect_block(const Block& block, const Hash32& block_hash, bool rebroadcast);
 
   /// Drain the chain's head events and apply them to the mempool
   /// incrementally: confirmation evicts the sender's chain up to the
@@ -182,13 +180,9 @@ class Node {
   // tx hash), drained by sync_mempool_with_chain once buried
   // kBodyPruneDepth below the head.
   std::deque<std::pair<std::uint64_t, Hash32>> confirmed_bodies_;
-  // Blocks that arrived before their parent (with their leaf hashes), keyed
-  // by parent hash; reconnected as soon as the parent is adopted.
-  struct Orphan {
-    Block block;
-    std::vector<Hash32> tx_hashes;
-  };
-  std::map<Hash32, std::vector<Orphan>> orphans_;
+  // Blocks that arrived before their parent, keyed by parent hash;
+  // reconnected as soon as the parent is adopted.
+  std::map<Hash32, std::vector<Block>> orphans_;
 };
 
 /// A mining node: assembles candidate blocks from its mempool and grinds
@@ -215,7 +209,6 @@ class MinerNode : public Node {
   unsigned hashes_per_ms_;
   bool enabled_ = true;
   Block template_;
-  std::vector<Hash32> template_tx_hashes_;  // the template's Merkle leaves
   Bytes template_parent_;
   std::uint64_t template_pool_version_ = 0;
   std::uint64_t next_nonce_ = 0;

@@ -87,13 +87,6 @@ class ChainState {
   static ChainState from_snapshot(const Bytes& bytes);
 
  private:
-  // The chain applies block bodies with the leaf hashes it stored at insert.
-  friend class Blockchain;
-  /// apply_transaction for `tx_hash` == tx.hash(), which keys the signature
-  /// memo. Private: only the chain, which hashed the body itself, may supply it.
-  Receipt apply_transaction(const Transaction& tx, const Hash32& tx_hash,
-                            std::uint64_t block_number, const Address& miner);
-
   struct Deployed {
     std::string type;  // ContractFactory name the instance was created from
     std::unique_ptr<Contract> instance;

@@ -11,13 +11,13 @@ namespace zl::chain {
 
 namespace {
 
-// Process-wide signature-verdict memo. ECDSA verification costs two scalar
-// multiplications; hashing the encoded transaction is ~100x cheaper, so every
-// re-verification after the first (block apply, fork replay, re-gossip on
-// another simulated node) collapses to a keccak + hash-map hit. Guarded by a
-// ranked mutex (kSigVerdictCache — a leaf-ish lock taken while pool workers
-// hold the region lock; DESIGN.md §13) because block prevalidation warms it
-// from pool threads while serial apply reads it.
+// Process-wide signature-verdict memo, keyed by the transaction's id. ECDSA
+// verification costs two scalar multiplications, so every re-verification
+// after the first (block apply, fork replay, re-gossip on another simulated
+// node) collapses to a hash-map hit. Guarded by a ranked mutex
+// (kSigVerdictCache — a leaf-ish lock taken while pool workers hold the
+// region lock; DESIGN.md §13) because block prevalidation warms it from pool
+// threads while serial apply reads it.
 struct SignatureVerdictCache {
   // Re-verification clusters around recent transactions; a full reset at the
   // cap is simpler than LRU and amortizes to a no-op.
@@ -45,7 +45,7 @@ std::size_t signature_verdict_cache_size() {
   return cache.verdicts.size();
 }
 
-Bytes Transaction::signing_bytes() const {
+Bytes TxFields::signing_bytes() const {
   Bytes out;
   append_frame(out, from.to_bytes());
   append_frame(out, to.to_bytes());
@@ -57,11 +57,33 @@ Bytes Transaction::signing_bytes() const {
   return out;
 }
 
-Bytes Transaction::to_bytes() const {
+Bytes TxFields::to_bytes() const {
   Bytes out = signing_bytes();
   append_frame(out, pubkey);
   append_frame(out, signature);
   return out;
+}
+
+namespace {
+
+Hash32 count_tx_hash(const Bytes& encoding) {
+  ZL_OBS_COUNTER_ADD("chain.tx_hash", 1);
+  return keccak256(encoding.data(), encoding.size());
+}
+
+}  // namespace
+
+Transaction::Transaction() {
+  // Computed once per process and not counted: a placeholder costs no keccak.
+  static const Hash32 empty_id = [] {
+    const Bytes encoding = TxFields{}.to_bytes();
+    return keccak256(encoding.data(), encoding.size());
+  }();
+  id_ = empty_id;
+}
+
+Transaction::Transaction(TxFields fields) : fields_(std::move(fields)) {
+  id_ = count_tx_hash(fields_.to_bytes());
 }
 
 Transaction Transaction::from_bytes(const Bytes& bytes) {
@@ -72,42 +94,29 @@ Transaction Transaction::from_bytes(const Bytes& bytes) {
   constexpr std::size_t kMaxPayloadBytes = 4u << 20;  // 4 MiB
   constexpr std::size_t kMaxPubkeyBytes = 65;         // uncompressed secp256k1
   constexpr std::size_t kMaxSignatureBytes = 64;      // r || s
-  Transaction tx;
+  TxFields f;
   ByteReader r(bytes, "Transaction");
-  tx.from = Address::from_bytes(r.frame(Address::kSize));
-  tx.to = Address::from_bytes(r.frame(Address::kSize));
-  tx.value = r.u64();
-  tx.nonce = r.u64();
-  tx.gas_limit = r.u64();
+  f.from = Address::from_bytes(r.frame(Address::kSize));
+  f.to = Address::from_bytes(r.frame(Address::kSize));
+  f.value = r.u64();
+  f.nonce = r.u64();
+  f.gas_limit = r.u64();
   const Bytes method = r.frame(kMaxMethodBytes);
-  tx.method = std::string(method.begin(), method.end());
-  tx.payload = r.frame(kMaxPayloadBytes);
-  tx.pubkey = r.frame(kMaxPubkeyBytes);
-  tx.signature = r.frame(kMaxSignatureBytes);
+  f.method = std::string(method.begin(), method.end());
+  f.payload = r.frame(kMaxPayloadBytes);
+  f.pubkey = r.frame(kMaxPubkeyBytes);
+  f.signature = r.frame(kMaxSignatureBytes);
   r.expect_end();
-  return tx;
+  return Transaction(std::move(f), count_tx_hash(bytes));
 }
 
-Bytes Transaction::hash() const {
-  ZL_OBS_COUNTER_ADD("chain.tx_hash", 1);
-  return keccak256(to_bytes());
-}
-
-std::vector<Hash32> tx_hashes(const std::vector<Transaction>& txs) {
-  std::vector<Hash32> out;
-  out.reserve(txs.size());
-  for (const Transaction& tx : txs) out.push_back(to_hash32(tx.hash()));
-  return out;
-}
-
-bool Transaction::verify_signature() const { return verify_signature(to_hash32(hash())); }
-
-bool Transaction::verify_signature(const Hash32& tx_hash) const {
-  if (pubkey.size() != 65 || signature.size() != 64) return false;
+bool Transaction::verify_signature() const {
+  const TxFields& f = fields_;
+  if (f.pubkey.size() != 65 || f.signature.size() != 64) return false;
   SignatureVerdictCache& cache = signature_verdict_cache();
   {
     const MutexLock lock(cache.mutex);
-    const auto it = cache.verdicts.find(tx_hash);
+    const auto it = cache.verdicts.find(id_);
     if (it != cache.verdicts.end()) {
       ZL_OBS_COUNTER_ADD("validation.sig_cache.hit", 1);
       return it->second;
@@ -117,22 +126,22 @@ bool Transaction::verify_signature(const Hash32& tx_hash) const {
   ZL_OBS_SCOPED_LATENCY_US("validation.sig_verify_us");
   bool ok = false;
   try {
-    ok = Address::from_bytes(ecdsa_address(pubkey)) == from &&
-         ecdsa_verify(pubkey, signing_bytes(), EcdsaSignature::from_bytes(signature));
+    ok = Address::from_bytes(ecdsa_address(f.pubkey)) == f.from &&
+         ecdsa_verify(f.pubkey, f.signing_bytes(), EcdsaSignature::from_bytes(f.signature));
   } catch (const std::invalid_argument&) {
     ok = false;
   }
   {
     const MutexLock lock(cache.mutex);
     if (cache.verdicts.size() >= SignatureVerdictCache::kMaxEntries) cache.verdicts.clear();
-    cache.verdicts.emplace(tx_hash, ok);
+    cache.verdicts.emplace(id_, ok);
   }
   return ok;
 }
 
 std::uint64_t Transaction::intrinsic_gas() const {
   std::uint64_t gas = GasSchedule::kTxBase;
-  gas += GasSchedule::kTxDataByte * (payload.size() + method.size());
+  gas += GasSchedule::kTxDataByte * (fields_.payload.size() + fields_.method.size());
   if (is_contract_creation()) gas += GasSchedule::kContractCreation;
   return gas;
 }
@@ -140,17 +149,11 @@ std::uint64_t Transaction::intrinsic_gas() const {
 Transaction Wallet::make_transaction(const Address& to, std::uint64_t value,
                                      std::uint64_t gas_limit, const std::string& method,
                                      const Bytes& payload) {
-  Transaction tx;
-  tx.from = address();
-  tx.to = to;
-  tx.value = value;
-  tx.nonce = nonce_++;
-  tx.gas_limit = gas_limit;
-  tx.method = method;
-  tx.payload = payload;
-  tx.pubkey = key_.public_key_bytes();
-  tx.signature = key_.sign(tx.signing_bytes(), rng_).to_bytes();
-  return tx;
+  TxFields f{.from = address_, .to = to, .value = value, .nonce = nonce_++,
+             .gas_limit = gas_limit, .method = method, .payload = payload,
+             .pubkey = key_.public_key_bytes(), .signature = {}};
+  f.signature = key_.sign(f.signing_bytes(), rng_).to_bytes();
+  return Transaction(std::move(f));
 }
 
 }  // namespace zl::chain

@@ -51,11 +51,8 @@ void clear_validation_caches() {
   clear_snark_verify_cache();
 }
 
-namespace {
-
-// The pipeline behind both entry points; `tx_hashes[i]` == txs[i].hash().
-void prevalidate(const ChainState& pre_state, const std::vector<Transaction>& txs,
-                 const std::vector<Hash32>& tx_hashes) {
+void prevalidate_block(const ChainState& pre_state, const std::vector<Transaction>& txs) {
+  if (!parallel_validation_enabled() || txs.empty()) return;
   ZL_TRACE_SPAN("validation.prevalidate");
   ZL_OBS_COUNTER_ADD("validation.prevalidate.blocks", 1);
   ZL_OBS_COUNTER_ADD("validation.prevalidate.txs", txs.size());
@@ -64,7 +61,7 @@ void prevalidate(const ChainState& pre_state, const std::vector<Transaction>& tx
   // the mutex-guarded memo; grain 1 because one ECDSA verify dwarfs the
   // dispatch overhead.
   zl::parallel_for(
-      txs.size(), [&](std::size_t i) { txs[i].verify_signature(tx_hashes[i]); }, /*min_grain=*/1);
+      txs.size(), [&](std::size_t i) { txs[i].verify_signature(); }, /*min_grain=*/1);
 
   // Phase 2: snark prechecks. Extraction is serial (cheap state reads); the
   // pairing work runs in one parallel batch. Statements are extracted
@@ -98,19 +95,6 @@ void prevalidate(const ChainState& pre_state, const std::vector<Transaction>& tx
     warm_snark_verify_cache(
         snark_verify_cache_key(items[i].vk, items[i].public_inputs, items[i].proof), ok[i] != 0);
   }
-}
-
-}  // namespace
-
-void prevalidate_block(const ChainState& pre_state, const std::vector<Transaction>& txs) {
-  if (!parallel_validation_enabled() || txs.empty()) return;
-  prevalidate(pre_state, txs, tx_hashes(txs));
-}
-
-void BlockPrevalidation::run(const ChainState& pre_state, const std::vector<Transaction>& txs,
-                             const std::vector<Hash32>& tx_hashes) {
-  if (!parallel_validation_enabled() || txs.empty()) return;
-  prevalidate(pre_state, txs, tx_hashes);
 }
 
 }  // namespace zl::chain

@@ -72,17 +72,4 @@ void clear_validation_caches();
 /// precompile memo. No-op when parallel validation is disabled.
 void prevalidate_block(const ChainState& pre_state, const std::vector<Transaction>& txs);
 
-class Blockchain;
-
-/// prevalidate_block over the leaf hashes the chain computed once at insert
-/// (`tx_hashes[i]` == txs[i].hash()). Private, with Blockchain as the only
-/// friend: the signature memo is keyed by the hash alone, so a caller-
-/// supplied hash could file one transaction's verdict under another's.
-class BlockPrevalidation {
- private:
-  friend class Blockchain;
-  static void run(const ChainState& pre_state, const std::vector<Transaction>& txs,
-                  const std::vector<Hash32>& tx_hashes);
-};
-
 }  // namespace zl::chain

@@ -85,14 +85,10 @@ std::vector<std::uint64_t> ClassicRequesterClient::instruct_rewards() {
   }
   net_.settle_collection(task_address_);
   const TaskContract& task = contract();
-  const std::unique_ptr<IncentivePolicy> policy =
-      IncentivePolicy::by_name(task.params().policy_name);
-  std::vector<AnswerCiphertext> cts;
-  for (const TaskContract::Submission& s : task.submissions()) cts.push_back(s.ciphertext);
-  while (cts.size() < spec_.num_answers) cts.push_back(placeholder_ciphertext(policy->bottom()));
-
-  const RewardInstruction instruction = prove_rewards(
-      params_.reward_keypair(spec_).pk, spec_, enc_key_, task.share(), cts, rng_);
+  // The contract's own ⊥-padded answer vector: the statement it will check.
+  const RewardInstruction instruction =
+      prove_rewards(params_.reward_keypair(spec_).pk, spec_, enc_key_, task.share(),
+                    task.padded_ciphertexts(), rng_);
   const Transaction tx = wallet_->make_transaction(
       task_address_, 0, 2'000'000, "reward",
       TaskContract::encode_reward_args(instruction.rewards, instruction.proof));

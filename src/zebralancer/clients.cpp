@@ -112,15 +112,10 @@ std::vector<std::uint64_t> RequesterClient::instruct_rewards() {
   // so the contract is read only afterwards.
   net_.settle_collection(task_address_);
   const TaskContract& task = contract();
-  // Pad to n with ⊥ placeholders exactly like the contract does.
-  const std::unique_ptr<IncentivePolicy> policy =
-      IncentivePolicy::by_name(task.params().policy_name);
-  std::vector<AnswerCiphertext> cts;
-  for (const TaskContract::Submission& s : task.submissions()) cts.push_back(s.ciphertext);
-  while (cts.size() < spec_.num_answers) cts.push_back(placeholder_ciphertext(policy->bottom()));
-
-  const RewardInstruction instruction = prove_rewards(
-      params_.reward_keypair(spec_).pk, spec_, enc_key_, task.share(), cts, rng_);
+  // The contract's own ⊥-padded answer vector: the statement it will check.
+  const RewardInstruction instruction =
+      prove_rewards(params_.reward_keypair(spec_).pk, spec_, enc_key_, task.share(),
+                    task.padded_ciphertexts(), rng_);
 
   const Transaction tx = wallet_->make_transaction(
       task_address_, 0, 2'000'000, "reward",

@@ -97,13 +97,13 @@ std::vector<chain::SnarkPrecheck> task_snark_prechecks(const chain::ChainState& 
                                                        const chain::Transaction& tx) {
   std::vector<chain::SnarkPrecheck> out;
   if (tx.is_contract_creation()) {
-    if (tx.method != TaskContract::kContractType) return out;
+    if (tx.method() != TaskContract::kContractType) return out;
     // Deploy: the requester attestation check of on_deploy (anonymous mode).
-    const TaskParams params = TaskParams::from_bytes(tx.payload);
+    const TaskParams params = TaskParams::from_bytes(tx.payload());
     if (params.auth_mode != AuthMode::kAnonymous) return out;
-    if (tx.value < params.budget) return out;  // would revert before the proof
+    if (tx.value() < params.budget) return out;  // would revert before the proof
     const auth::Attestation att = auth::Attestation::from_bytes(params.requester_attestation);
-    const chain::Address contract_addr = chain::Address::for_contract(tx.from, tx.nonce);
+    const chain::Address contract_addr = chain::Address::for_contract(tx.from(), tx.nonce());
     out.push_back({snark::VerifyingKey::from_bytes(params.auth_vk),
                    auth::auth_statement(contract_addr.to_bytes(),
                                         params.requester_address.to_bytes(),
@@ -112,20 +112,20 @@ std::vector<chain::SnarkPrecheck> task_snark_prechecks(const chain::ChainState& 
     return out;
   }
 
-  const auto* task = state.contract_as<TaskContract>(tx.to);
+  const auto* task = state.contract_as<TaskContract>(tx.to());
   if (task == nullptr || task->finalized()) return out;
   const TaskParams& params = task->params();
-  if (tx.method == "submit" && params.auth_mode == AuthMode::kAnonymous) {
+  if (tx.method() == "submit" && params.auth_mode == AuthMode::kAnonymous) {
     if (task->submissions().size() >= params.num_answers) return out;
-    ByteReader r(tx.payload, "submit args");
+    ByteReader r(tx.payload(), "submit args");
     const auth::Attestation att = auth::Attestation::from_bytes(r.frame(kMaxAttestationBytes));
     const AnswerCiphertext ct = AnswerCiphertext::from_bytes(r.frame(kMaxCiphertextBytes));
-    const Bytes rest = concat({tx.from.to_bytes(), ct.to_bytes()});
+    const Bytes rest = concat({tx.from().to_bytes(), ct.to_bytes()});
     out.push_back({task->auth_vk(),
-                   auth::auth_statement(tx.to.to_bytes(), rest, params.registry_root, att),
+                   auth::auth_statement(tx.to().to_bytes(), rest, params.registry_root, att),
                    att.proof});
-  } else if (tx.method == "reward") {
-    ByteReader r(tx.payload, "reward args");
+  } else if (tx.method() == "reward") {
+    ByteReader r(tx.payload(), "reward args");
     const std::uint32_t count = r.count(kMaxAnswers);
     if (count != params.num_answers) return out;
     std::vector<std::uint64_t> rewards;

@@ -181,8 +181,8 @@ TEST(MempoolConcurrencyStress, AdmitConfirmBuildRaceWithReorgStorm) {
       if (!ev.confirmed) continue;
       const auto receipt_tx = std::find_if(
           pending.begin(), pending.end(),
-          [&](const Transaction& tx) { return to_hash32(tx.hash()) == ev.tx_hash; });
-      if (receipt_tx != pending.end()) pool.on_confirmed(receipt_tx->from, receipt_tx->nonce);
+          [&](const Transaction& tx) { return tx.id() == ev.tx_hash; });
+      if (receipt_tx != pending.end()) pool.on_confirmed(receipt_tx->from(), receipt_tx->nonce());
     }
   };
 
@@ -232,7 +232,7 @@ TEST(MempoolConcurrencyStress, AdmitConfirmBuildRaceWithReorgStorm) {
     MutexLock l(chain_mu);
     const std::vector<Transaction> tmpl = pool.build_block(chain.state(), 1024);
     for (const Transaction& tx : tmpl) {
-      EXPECT_GE(tx.nonce, chain.state().nonce_of(tx.from));
+      EXPECT_GE(tx.nonce(), chain.state().nonce_of(tx.from()));
     }
   }
   EXPECT_TRUE(chain.take_head_events().empty());

@@ -66,9 +66,9 @@ TEST(Mempool, BuildsBlocksHighestFeeFirstAcrossSenders) {
 
   const std::vector<Transaction> block = pool.build_block(state, 16);
   ASSERT_EQ(block.size(), 3u);
-  EXPECT_EQ(block[0].from, b.address());
-  EXPECT_EQ(block[1].from, c.address());
-  EXPECT_EQ(block[2].from, a.address());
+  EXPECT_EQ(block[0].from(), b.address());
+  EXPECT_EQ(block[1].from(), c.address());
+  EXPECT_EQ(block[2].from(), a.address());
 }
 
 TEST(Mempool, PerSenderNonceOrderBeatsFeeOrder) {
@@ -87,8 +87,8 @@ TEST(Mempool, PerSenderNonceOrderBeatsFeeOrder) {
 
   const std::vector<Transaction> block = pool.build_block(state, 16);
   ASSERT_EQ(block.size(), 2u);
-  EXPECT_EQ(block[0].nonce, 0u);
-  EXPECT_EQ(block[1].nonce, 1u);
+  EXPECT_EQ(block[0].nonce(), 0u);
+  EXPECT_EQ(block[1].nonce(), 1u);
 }
 
 TEST(Mempool, ReplacementByFeeRequiresBump) {
@@ -137,13 +137,13 @@ TEST(Mempool, NonceGapHoldsSuccessorsOutOfBlocks) {
   EXPECT_EQ(pool.admit(t2, 0), Mempool::Admission::kAdmitted);
   std::vector<Transaction> block = pool.build_block(state, 16);
   ASSERT_EQ(block.size(), 1u);
-  EXPECT_EQ(block[0].nonce, 0u);
+  EXPECT_EQ(block[0].nonce(), 0u);
 
   // Filling the gap releases the whole chain, in nonce order.
   EXPECT_EQ(pool.admit(t1, 0), Mempool::Admission::kAdmitted);
   block = pool.build_block(state, 16);
   ASSERT_EQ(block.size(), 3u);
-  for (std::uint64_t n = 0; n < 3; ++n) EXPECT_EQ(block[n].nonce, n);
+  for (std::uint64_t n = 0; n < 3; ++n) EXPECT_EQ(block[n].nonce(), n);
 }
 
 TEST(Mempool, RejectsStaleNonceAndForgedSignature) {
@@ -154,8 +154,11 @@ TEST(Mempool, RejectsStaleNonceAndForgedSignature) {
   const Transaction t0 = bid(a, sink.address(), 30'000);
   EXPECT_EQ(pool.admit(t0, /*chain_nonce=*/1), Mempool::Admission::kNonceTooLow);
 
-  Transaction forged = bid(a, sink.address(), 30'000);
-  ++forged.value;  // break the signature
+  const Transaction honest = bid(a, sink.address(), 30'000);
+  TxFields fields = honest.fields();
+  ++fields.value;  // break the signature
+  const Transaction forged(fields);
+  EXPECT_NE(forged.hash(), honest.hash());
   EXPECT_EQ(pool.admit(forged, 0), Mempool::Admission::kInvalid);
   EXPECT_TRUE(pool.empty());
 }
@@ -287,7 +290,7 @@ TEST(Mempool, BuildBlockFundsBoundDoesNotWrap) {
             Mempool::Admission::kAdmitted);
   const std::vector<Transaction> block = pool.build_block(state, 16);
   ASSERT_EQ(block.size(), 1u) << "wrapped funds bound admitted an unfundable chain";
-  EXPECT_EQ(block[0].nonce, 0u);
+  EXPECT_EQ(block[0].nonce(), 0u);
 }
 
 TEST(Mempool, BuildBlockRespectsBalanceBound) {
@@ -304,7 +307,7 @@ TEST(Mempool, BuildBlockRespectsBalanceBound) {
   EXPECT_EQ(pool.admit(bid(poor, sink.address(), 25'000), 0), Mempool::Admission::kAdmitted);
   const std::vector<Transaction> block = pool.build_block(state, 16);
   ASSERT_EQ(block.size(), 1u) << "second tx cannot be funded and must stay pooled";
-  EXPECT_EQ(block[0].nonce, 0u);
+  EXPECT_EQ(block[0].nonce(), 0u);
 }
 
 // Expose the protected mempool for white-box checks of the incremental
@@ -313,7 +316,7 @@ class ProbeNode : public Node {
  public:
   using Node::Node;
   void deliver_block(const Block& b) { accept_block(b, false); }
-  void deliver_tx(const Transaction& tx) { accept_transaction(tx, to_hash32(tx.hash()), false); }
+  void deliver_tx(const Transaction& tx) { accept_transaction(tx, false); }
   const Mempool& pool() const { return mempool_; }
   void shrink_pool(std::size_t max_txs) { mempool_.reset(max_txs); }
   bool has_body(const Hash32& tx_hash) const { return known_txs_.contains(tx_hash); }

@@ -214,17 +214,17 @@ Reencode reencode_of() {
 }
 
 chain::Transaction sample_tx(std::uint64_t nonce) {
-  chain::Transaction tx;
-  tx.from = chain::Address::from_bytes(Bytes(20, 0x11));
-  tx.to = chain::Address::from_bytes(Bytes(20, 0x22));
-  tx.value = 1000 + nonce;
-  tx.nonce = nonce;
-  tx.gas_limit = 50000;
-  tx.method = "submit";
-  tx.payload = Bytes{0x01, 0x02, 0x03, 0x04};
-  tx.pubkey = Bytes(65, 0x04);
-  tx.signature = Bytes(64, 0x5A);
-  return tx;
+  chain::TxFields f;
+  f.from = chain::Address::from_bytes(Bytes(20, 0x11));
+  f.to = chain::Address::from_bytes(Bytes(20, 0x22));
+  f.value = 1000 + nonce;
+  f.nonce = nonce;
+  f.gas_limit = 50000;
+  f.method = "submit";
+  f.payload = Bytes{0x01, 0x02, 0x03, 0x04};
+  f.pubkey = Bytes(65, 0x04);
+  f.signature = Bytes(64, 0x5A);
+  return chain::Transaction(std::move(f));
 }
 
 chain::Block sample_block() {

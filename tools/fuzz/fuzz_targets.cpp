@@ -6,6 +6,7 @@
 
 #include "chain/blockchain.h"
 #include "chain/tx.h"
+#include "crypto/keccak.h"
 #include "snark/groth16.h"
 #include "store/fault_vfs.h"
 #include "store/snapshot.h"
@@ -50,6 +51,9 @@ void fuzz_tx(const std::uint8_t* data, std::size_t size) {
   expect_clean_decode([&] {
     const chain::Transaction tx = chain::Transaction::from_bytes(in);
     ZL_FUZZ_REQUIRE(tx.to_bytes() == in);
+    // The id is sealed from the received bytes; canonical decoding makes it
+    // the hash of the re-encoding too.
+    ZL_FUZZ_REQUIRE(tx.hash() == keccak256(in));
   });
 }
 
@@ -58,6 +62,9 @@ void fuzz_block(const std::uint8_t* data, std::size_t size) {
   expect_clean_decode([&] {
     const chain::Block block = chain::block_from_bytes(in);
     ZL_FUZZ_REQUIRE(chain::block_to_bytes(block) == in);
+    for (const chain::Transaction& tx : block.transactions) {
+      ZL_FUZZ_REQUIRE(tx.hash() == keccak256(tx.to_bytes()));
+    }
   });
 }
 

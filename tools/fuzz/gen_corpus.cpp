@@ -62,17 +62,17 @@ void emit_family(const fs::path& dir, const std::string& stem, const Bytes& vali
 }
 
 zl::chain::Transaction sample_tx(std::uint64_t nonce) {
-  zl::chain::Transaction tx;
-  tx.from = zl::chain::Address::from_bytes(Bytes(20, 0x11));
-  tx.to = zl::chain::Address::from_bytes(Bytes(20, 0x22));
-  tx.value = 1000 + nonce;
-  tx.nonce = nonce;
-  tx.gas_limit = 50000;
-  tx.method = "submit";
-  tx.payload = Bytes{0x01, 0x02, 0x03, 0x04};
-  tx.pubkey = Bytes(65, 0x04);
-  tx.signature = Bytes(64, 0x5A);
-  return tx;
+  zl::chain::TxFields f;
+  f.from = zl::chain::Address::from_bytes(Bytes(20, 0x11));
+  f.to = zl::chain::Address::from_bytes(Bytes(20, 0x22));
+  f.value = 1000 + nonce;
+  f.nonce = nonce;
+  f.gas_limit = 50000;
+  f.method = "submit";
+  f.payload = Bytes{0x01, 0x02, 0x03, 0x04};
+  f.pubkey = Bytes(65, 0x04);
+  f.signature = Bytes(64, 0x5A);
+  return zl::chain::Transaction(std::move(f));
 }
 
 }  // namespace
