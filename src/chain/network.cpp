@@ -196,7 +196,8 @@ void Node::connect_block(const Block& block, const Hash32& block_hash, bool rebr
   // parent hash that is not 32 bytes long can never connect.
   if (!chain_.knows(block.header.parent_hash)) {
     if (block.header.parent_hash.size() == std::tuple_size_v<Hash32>) {
-      orphans_[to_hash32(block.header.parent_hash)].push_back(block);
+      orphans_.emplace_back(to_hash32(block.header.parent_hash), block);
+      if (orphans_.size() > kBodyPruneDepth) evict_oldest_orphan();
     }
     return;
   }
@@ -209,16 +210,34 @@ void Node::connect_block(const Block& block, const Hash32& block_hash, bool rebr
   while (!connected.empty()) {
     const Hash32 parent = connected.back();
     connected.pop_back();
-    const auto it = orphans_.find(parent);
-    if (it == orphans_.end()) continue;
-    const std::vector<Block> children = std::move(it->second);
-    orphans_.erase(it);
+    std::vector<Block> children;
+    for (auto it = orphans_.begin(); it != orphans_.end();) {
+      if (it->first != parent) {
+        ++it;
+        continue;
+      }
+      children.push_back(std::move(it->second));
+      it = orphans_.erase(it);
+    }
     for (const Block& child : children) {
       if (chain_.add_block(child)) {
         sync_mempool_with_chain();
         if (rebroadcast) network_.broadcast(id_, MessageKind::kBlock, block_to_bytes(child));
         connected.push_back(to_hash32(child.hash()));
       }
+    }
+  }
+}
+
+void Node::evict_oldest_orphan() {
+  const Block evicted = std::move(orphans_.front().second);
+  orphans_.pop_front();
+  // Its block hash stays in seen_, so a re-send is dropped by its header.
+  // Bodies the canonical chain confirmed are the prune queue's to drop, and
+  // pooled ones are still pending work.
+  for (const Transaction& tx : evicted.transactions) {
+    if (!mempool_.contains(tx.id()) && !chain_.confirmation_block(tx.hash())) {
+      known_txs_.erase(tx.id());
     }
   }
 }

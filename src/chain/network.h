@@ -156,6 +156,9 @@ class Node {
   /// Stash, park or add a block known to be well formed, with
   /// `block_hash` == block.hash().
   void connect_block(const Block& block, const Hash32& block_hash, bool rebroadcast);
+  /// Drop the longest-parked orphan, and those of its stashed bodies that
+  /// are neither pooled nor confirmed on the canonical chain.
+  void evict_oldest_orphan();
 
   /// Drain the chain's head events and apply them to the mempool
   /// incrementally: confirmation evicts the sender's chain up to the
@@ -180,9 +183,11 @@ class Node {
   // tx hash), drained by sync_mempool_with_chain once buried
   // kBodyPruneDepth below the head.
   std::deque<std::pair<std::uint64_t, Hash32>> confirmed_bodies_;
-  // Blocks that arrived before their parent, keyed by parent hash;
-  // reconnected as soon as the parent is adopted.
-  std::map<Hash32, std::vector<Block>> orphans_;
+  // Blocks that arrived before their parent, with that parent's hash, in
+  // parked order; reconnected as soon as the parent is adopted. Holds at
+  // most kBodyPruneDepth blocks: a peer can mine unknown-parent blocks at
+  // the simulator's difficulties for almost nothing.
+  std::deque<std::pair<Hash32, Block>> orphans_;
 };
 
 /// A mining node: assembles candidate blocks from its mempool and grinds

@@ -21,10 +21,45 @@ SystemParams make_system_params(unsigned merkle_depth,
   return params;
 }
 
+namespace {
+
+/// Attest prefix || rest under the identity's scheme: one of the clients'
+/// two mode branches (the other fills publish's mode-specific TaskParams).
+/// Only CPL-AA draws from `rng` (its proof randomness).
+Bytes attest(const Identity& identity, const auth::AuthParams& auth, const Bytes& prefix,
+             const Bytes& rest, const Fr& registry_root, Rng& rng) {
+  if (const auto* classic = std::get_if<ClassicIdentity>(&identity)) {
+    return auth::classic_authenticate(prefix, rest, classic->key, classic->cert).to_bytes();
+  }
+  const auto& anonymous = std::get<AnonymousIdentity>(identity);
+  return auth::authenticate(auth, prefix, rest, anonymous.key, anonymous.cert, registry_root, rng)
+      .to_bytes();
+}
+
+AuthMode mode_of(const Identity& identity) {
+  return std::holds_alternative<ClassicIdentity>(identity) ? AuthMode::kClassic
+                                                           : AuthMode::kAnonymous;
+}
+
+const TaskContract* find_task(TestNet& net, const Address& task_address) {
+  return net.client_node().chain().state().contract_as<TaskContract>(task_address);
+}
+
+}  // namespace
+
 RequesterClient::RequesterClient(TestNet& net, const SystemParams& params,
                                  const auth::UserKey& key, const auth::Certificate& cert,
                                  Rng rng)
-    : net_(net), params_(params), key_(key), cert_(cert), rng_(std::move(rng)) {}
+    : net_(net), params_(params), identity_(AnonymousIdentity{key, cert}), rng_(std::move(rng)) {}
+
+RequesterClient::RequesterClient(TestNet& net, const SystemParams& params,
+                                 const auth::ClassicUserKey& key,
+                                 const auth::ClassicCertificate& cert, const RsaPublicKey& mpk,
+                                 Rng rng)
+    : net_(net),
+      params_(params),
+      identity_(ClassicIdentity{key, cert, mpk}),
+      rng_(std::move(rng)) {}
 
 const Address& RequesterClient::one_task_address() const {
   if (!wallet_) throw std::logic_error("RequesterClient: no task published yet");
@@ -36,7 +71,6 @@ chain::Address RequesterClient::publish(const TaskSpec& spec, const Fr& registry
   if (!params_.has_reward_keypair(spec_)) {
     throw std::invalid_argument("RequesterClient: no SNARK established for this task shape");
   }
-  task_spec_ = spec;
 
   // Fresh one-task-only blockchain address alpha_R and task keypair.
   wallet_ = std::make_unique<Wallet>(rng_);
@@ -47,14 +81,20 @@ chain::Address RequesterClient::publish(const TaskSpec& spec, const Fr& registry
   const Address alpha_r = wallet_->address();
   const Address alpha_c = Address::for_contract(alpha_r, 0);
 
-  // Authenticate alpha_C || alpha_R (footnote 9).
-  const auth::Attestation att = auth::authenticate(
-      params_.auth, alpha_c.to_bytes(), alpha_r.to_bytes(), key_, cert_, registry_root, rng_);
-
   TaskParams params;
   params.requester_address = alpha_r;
-  params.requester_attestation = att.to_bytes();
+  // Authenticate alpha_C || alpha_R (footnote 9).
+  params.requester_attestation =
+      attest(identity_, params_.auth, alpha_c.to_bytes(), alpha_r.to_bytes(), registry_root, rng_);
+  // Each is zero unless set, and the contract reads each only in its mode.
   params.registry_root = registry_root;
+  params.reputation_registry = spec.reputation_registry;
+  if (const auto* classic = std::get_if<ClassicIdentity>(&identity_)) {
+    params.auth_mode = AuthMode::kClassic;
+    params.classic_mpk = classic->mpk.to_bytes();
+  } else {
+    params.auth_vk = params_.auth.keys.vk.to_bytes();
+  }
   params.budget = spec.budget;
   params.epk = enc_key_.epk.to_bytes();
   params.num_answers = spec.num_answers;
@@ -65,7 +105,6 @@ chain::Address RequesterClient::publish(const TaskSpec& spec, const Fr& registry
   if (!spec.task_data.empty()) {
     params.task_data_digest = net_.store().put(spec.task_data);
   }
-  params.auth_vk = params_.auth.keys.vk.to_bytes();
   params.reward_vk = params_.reward_keypair(spec_).vk.to_bytes();
 
   const Bytes ctor_args = params.to_bytes();
@@ -89,7 +128,7 @@ chain::Address RequesterClient::publish(const TaskSpec& spec, const Fr& registry
 }
 
 const TaskContract& RequesterClient::contract() const {
-  const auto* c = net_.client_node().chain().state().contract_as<TaskContract>(task_address_);
+  const TaskContract* c = find_task(net_, task_address_);
   if (c == nullptr) throw std::runtime_error("RequesterClient: task contract not on chain");
   return *c;
 }
@@ -130,10 +169,15 @@ std::vector<std::uint64_t> RequesterClient::instruct_rewards() {
 
 WorkerClient::WorkerClient(TestNet& net, const SystemParams& params, const auth::UserKey& key,
                            const auth::Certificate& cert, Rng rng)
-    : net_(net), params_(params), key_(key), cert_(cert), rng_(std::move(rng)) {}
+    : net_(net), params_(params), identity_(AnonymousIdentity{key, cert}), rng_(std::move(rng)) {}
+
+WorkerClient::WorkerClient(TestNet& net, const SystemParams& params,
+                           const auth::ClassicUserKey& key, const auth::ClassicCertificate& cert,
+                           Rng rng)
+    : net_(net), params_(params), identity_(ClassicIdentity{key, cert, {}}), rng_(std::move(rng)) {}
 
 std::optional<Bytes> WorkerClient::fetch_task_data(const Address& task_address) const {
-  const auto* task = net_.client_node().chain().state().contract_as<TaskContract>(task_address);
+  const TaskContract* task = find_task(net_, task_address);
   if (task == nullptr || task->params().task_data_digest.empty()) return std::nullopt;
   return net_.store().get(task->params().task_data_digest);
 }
@@ -147,12 +191,14 @@ chain::Address WorkerClient::reward_address(const Address& task_address) const {
 Bytes WorkerClient::submit_answer(const Address& task_address, const Fr& answer) {
   // Validate the contract's content before participating (paper: the worker
   // "first validates the contract content").
-  const auto* task = net_.client_node().chain().state().contract_as<TaskContract>(task_address);
+  const TaskContract* task = find_task(net_, task_address);
   if (task == nullptr) throw std::invalid_argument("WorkerClient: no such task");
+  if (task->params().auth_mode != mode_of(identity_)) {
+    throw std::invalid_argument("WorkerClient: task expects the other authentication mode");
+  }
   if (task->finalized() || task->collection_complete(net_.height())) {
     throw std::invalid_argument("WorkerClient: task not accepting answers");
   }
-  const Fr registry_root = task->params().registry_root;
   const JubjubPoint epk = JubjubPoint::from_bytes(task->params().epk);
 
   // A data-intensive task references its blob by content address: fetch and
@@ -162,21 +208,23 @@ Bytes WorkerClient::submit_answer(const Address& task_address, const Fr& answer)
     throw std::invalid_argument("WorkerClient: task data unavailable in off-chain storage");
   }
 
-  // One-task-only address alpha_i, funded for gas. The answer does not wait
-  // for the transfer: miners hold it back until alpha_i is funded, and a
-  // transfer that never lands leaves the answer without a receipt.
+  // One-task-only address alpha_i. Encrypt the answer under the task key;
+  // authenticate alpha_C || alpha_i || C_i.
   auto wallet = std::make_unique<Wallet>(rng_);
   const Address alpha_i = wallet->address();
-  net_.fund(alpha_i, 3'000'000);
-
-  // Encrypt the answer under the task key; authenticate alpha_C||alpha_i||C_i.
   const AnswerCiphertext ct = encrypt_answer(epk, answer, rng_);
-  const Bytes rest = concat({alpha_i.to_bytes(), ct.to_bytes()});
-  const auth::Attestation att = auth::authenticate(params_.auth, task_address.to_bytes(), rest,
-                                                   key_, cert_, registry_root, rng_);
+  const Bytes att = attest(identity_, params_.auth, task_address.to_bytes(),
+                           concat({alpha_i.to_bytes(), ct.to_bytes()}),
+                           task->params().registry_root, rng_);
 
-  const Transaction tx = wallet->make_transaction(
-      task_address, 0, 2'000'000, "submit", TaskContract::encode_submit_args(att, ct));
+  // Only now fund alpha_i for gas: a failed check or attestation above sends
+  // nothing. Proving advances no simulated time, so the transfer and the
+  // answer still enter the network's batch back to back. The answer does not
+  // wait for the transfer: miners hold it back until alpha_i is funded, and
+  // a transfer that never lands leaves the answer without a receipt.
+  net_.fund(alpha_i, 3'000'000);
+  const Transaction tx = wallet->make_transaction(task_address, 0, 2'000'000, "submit",
+                                                  TaskContract::encode_submit_args(att, ct));
   task_wallets_[task_address] = std::move(wallet);
   net_.client_node().submit_transaction(tx);
   return tx.hash();

@@ -1,11 +1,23 @@
 #pragma once
 // Off-chain clients (paper Fig. 3): requester and worker clients wrap a
 // blockchain node with the ZebraLancer protocol logic — one-task-only
-// wallets, answer encryption, anonymous attestations, zk-SNARK proving.
+// wallets, answer encryption, attestations, zk-SNARK proving.
+//
+// Each client serves either authentication mode (paper §VI: the protocol
+// "can be trivially extended to support non-anonymous mode"); the identity
+// it is built with picks the mode. The outsource-then-prove reward phase is
+// the same in both — data confidentiality and fair exchange do not depend on
+// anonymity. In the classic mode participants still use one-task-only
+// wallets for payments, but their certified public key rides along with
+// every submission, so anyone can link their whole participation history —
+// the exact privacy loss the anonymous mode exists to prevent (and what
+// makes the classic mode "cost nearly nothing").
 
 #include <map>
 #include <optional>
+#include <variant>
 
+#include "auth/classic_auth.h"
 #include "auth/cpl_auth.h"
 #include "chain/network.h"
 #include "zebralancer/task_contract.h"
@@ -50,14 +62,35 @@ struct TaskSpec {
   chain::Address reputation_registry;
 };
 
+/// Anonymous identity (§V-A): CPL-AA key and the RA's registry certificate.
+struct AnonymousIdentity {
+  auth::UserKey key;
+  auth::Certificate cert;
+};
+
+/// Classic identity (§VI): certified RSA key. `mpk` is the RA's master key,
+/// which a requester publishes in its task; a worker leaves it empty.
+struct ClassicIdentity {
+  auth::ClassicUserKey key;
+  auth::ClassicCertificate cert;
+  RsaPublicKey mpk;
+};
+
+/// A client's identity; its alternative is the client's authentication mode.
+using Identity = std::variant<AnonymousIdentity, ClassicIdentity>;
+
 class RequesterClient {
  public:
   RequesterClient(TestNet& net, const SystemParams& params, const auth::UserKey& key,
                   const auth::Certificate& cert, Rng rng);
+  RequesterClient(TestNet& net, const SystemParams& params, const auth::ClassicUserKey& key,
+                  const auth::ClassicCertificate& cert, const RsaPublicKey& mpk, Rng rng);
 
   /// TaskPublish: fresh one-task address, task keypair, attestation over
   /// alpha_C || alpha_R, deploy with the budget deposited. Returns alpha_C.
-  chain::Address publish(const TaskSpec& spec, const Fr& registry_root);
+  /// `registry_root` is the anonymous mode's RA registry root; the classic
+  /// mode ignores it.
+  chain::Address publish(const TaskSpec& spec, const Fr& registry_root = Fr::zero());
 
   /// Whether the contract has collected n answers (or the deadline passed).
   bool collection_complete() const;
@@ -85,13 +118,11 @@ class RequesterClient {
 
   TestNet& net_;
   const SystemParams& params_;
-  auth::UserKey key_;
-  auth::Certificate cert_;
+  Identity identity_;
   Rng rng_;
   std::unique_ptr<chain::Wallet> wallet_;  // one-task-only alpha_R
   TaskEncKeyPair enc_key_;
   RewardCircuitSpec spec_;
-  TaskSpec task_spec_;
   chain::Address task_address_;
   Bytes deploy_tx_hash_;
   Bytes reward_tx_hash_;
@@ -101,19 +132,20 @@ class WorkerClient {
  public:
   WorkerClient(TestNet& net, const SystemParams& params, const auth::UserKey& key,
                const auth::Certificate& cert, Rng rng);
+  WorkerClient(TestNet& net, const SystemParams& params, const auth::ClassicUserKey& key,
+               const auth::ClassicCertificate& cert, Rng rng);
 
-  /// AnswerCollection: validate the task, fresh one-task address, encrypt
-  /// under the task's epk, authenticate alpha_C || alpha_i || C_i, submit.
-  /// Returns the submission transaction hash without waiting for the
-  /// funding transfer or the answer to confirm (the caller's concern: the
-  /// chain decides, and orders answers that share a block).
+  /// AnswerCollection: validate the task (its mode must be this worker's),
+  /// fresh one-task address, encrypt under the task's epk, authenticate
+  /// alpha_C || alpha_i || C_i, then fund alpha_i and submit. Nothing is
+  /// sent when a check or the attestation fails. Returns the submission
+  /// transaction hash without waiting for the funding transfer or the answer
+  /// to confirm (the caller's concern: the chain decides, and orders answers
+  /// that share a block).
   Bytes submit_answer(const chain::Address& task_address, const Fr& answer);
 
   /// The one-task address used for the given task (where rewards arrive).
   chain::Address reward_address(const chain::Address& task_address) const;
-
-  /// Refresh the certificate path from the RA (registry may have grown).
-  void set_certificate(const auth::Certificate& cert) { cert_ = cert; }
 
   /// Fetch (and digest-verify) the task's off-chain data blob, if any.
   std::optional<Bytes> fetch_task_data(const chain::Address& task_address) const;
@@ -121,8 +153,7 @@ class WorkerClient {
  private:
   TestNet& net_;
   const SystemParams& params_;
-  auth::UserKey key_;
-  auth::Certificate cert_;
+  Identity identity_;
   Rng rng_;
   std::map<chain::Address, std::unique_ptr<chain::Wallet>> task_wallets_;  // task -> wallet
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "auth/classic_auth.h"
 #include "chain/state.h"
 #include "crypto/keccak.h"
 #include "obs/obs.h"
@@ -260,22 +261,11 @@ void TaskContract::invoke(CallContext& ctx, const std::string& method, const Byt
   }
 }
 
-namespace {
-Bytes encode_submit_args_raw(const Bytes& attestation, const AnswerCiphertext& ct) {
+Bytes TaskContract::encode_submit_args(const Bytes& attestation, const AnswerCiphertext& ct) {
   Bytes out;
   append_frame(out, attestation);
   append_frame(out, ct.to_bytes());
   return out;
-}
-}  // namespace
-
-Bytes TaskContract::encode_submit_args(const auth::Attestation& att, const AnswerCiphertext& ct) {
-  return encode_submit_args_raw(att.to_bytes(), ct);
-}
-
-Bytes TaskContract::encode_submit_args(const auth::ClassicAttestation& att,
-                                       const AnswerCiphertext& ct) {
-  return encode_submit_args_raw(att.to_bytes(), ct);
 }
 
 Bytes TaskContract::encode_reward_args(const std::vector<std::uint64_t>& rewards,

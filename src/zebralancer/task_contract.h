@@ -18,7 +18,6 @@
 // block"). Like Ethereum, timeout paths execute when poked by any
 // transaction rather than spontaneously.
 
-#include "auth/classic_auth.h"
 #include "auth/cpl_auth.h"
 #include "chain/contract.h"
 #include "chain/validation.h"
@@ -119,10 +118,9 @@ class TaskContract : public chain::Contract {
   bool collection_complete(std::uint64_t block_number) const;
   std::uint64_t share() const { return params_.budget / params_.num_answers; }
 
-  /// Wire encodings for the two calls.
-  static Bytes encode_submit_args(const auth::Attestation& att, const AnswerCiphertext& ct);
-  static Bytes encode_submit_args(const auth::ClassicAttestation& att,
-                                  const AnswerCiphertext& ct);
+  /// Wire encodings for the two calls. `attestation` is the serialized
+  /// attestation of the task's auth_mode.
+  static Bytes encode_submit_args(const Bytes& attestation, const AnswerCiphertext& ct);
   static Bytes encode_reward_args(const std::vector<std::uint64_t>& rewards,
                                   const snark::Proof& proof);
 

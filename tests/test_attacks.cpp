@@ -79,7 +79,7 @@ class AttackTest : public ::testing::Test {
   static chain::Receipt raw_submit(chain::Wallet& wallet, const chain::Address& task,
                                    const auth::Attestation& att, const AnswerCiphertext& ct) {
     const chain::Transaction tx = wallet.make_transaction(
-        task, 0, 2'000'000, "submit", TaskContract::encode_submit_args(att, ct));
+        task, 0, 2'000'000, "submit", TaskContract::encode_submit_args(att.to_bytes(), ct));
     return net->submit_and_confirm(tx);
   }
 

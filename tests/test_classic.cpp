@@ -2,7 +2,7 @@
 // k-submissions-per-identity extension (footnote 11).
 #include <gtest/gtest.h>
 
-#include "zebralancer/classic_clients.h"
+#include "zebralancer/clients.h"
 #include "zebralancer/scenario.h"
 
 namespace zl::zebralancer {
@@ -129,20 +129,20 @@ auth::ClassicRegistrationAuthority* ClassicE2eTest::classic_ra = nullptr;
 TEST_F(ClassicE2eTest, FullClassicTask) {
   const auth::ClassicUserKey req_key = auth::ClassicUserKey::generate(*rng, kRsaBits);
   const auto req_cert = classic_ra->certify("classic-requester", req_key.key.pub);
-  ClassicRequesterClient requester(*net, *params, req_key, req_cert,
-                                   classic_ra->master_public_key(), net->fork_rng("creq"));
+  RequesterClient requester(*net, *params, req_key, req_cert, classic_ra->master_public_key(),
+                            net->fork_rng("creq"));
   const chain::Address task = requester.publish(
       {.budget = 3'000'000, .num_answers = 3, .policy_name = "majority-vote:4"});
 
   std::vector<auth::ClassicUserKey> keys;
-  std::vector<std::unique_ptr<ClassicWorkerClient>> workers;
+  std::vector<std::unique_ptr<WorkerClient>> workers;
   std::vector<Bytes> pending;
   for (int i = 0; i < 3; ++i) {
     keys.push_back(auth::ClassicUserKey::generate(*rng, kRsaBits));
     const auto cert = classic_ra->certify("classic-worker-" + std::to_string(i),
                                           keys.back().key.pub);
-    workers.push_back(std::make_unique<ClassicWorkerClient>(
-        *net, keys.back(), cert, net->fork_rng("cw" + std::to_string(i))));
+    workers.push_back(std::make_unique<WorkerClient>(
+        *net, *params, keys.back(), cert, net->fork_rng("cw" + std::to_string(i))));
     pending.push_back(workers.back()->submit_answer(task, Fr::from_u64(i == 2 ? 1 : 3)));
   }
   for (const Bytes& h : pending) {
@@ -164,15 +164,15 @@ TEST_F(ClassicE2eTest, FullClassicTask) {
 TEST_F(ClassicE2eTest, ClassicDoubleSubmissionRejected) {
   const auth::ClassicUserKey req_key = auth::ClassicUserKey::generate(*rng, kRsaBits);
   const auto req_cert = classic_ra->certify("classic-requester-2", req_key.key.pub);
-  ClassicRequesterClient requester(*net, *params, req_key, req_cert,
-                                   classic_ra->master_public_key(), net->fork_rng("creq2"));
+  RequesterClient requester(*net, *params, req_key, req_cert, classic_ra->master_public_key(),
+                            net->fork_rng("creq2"));
   const chain::Address task = requester.publish(
       {.budget = 3'000'000, .num_answers = 3, .policy_name = "majority-vote:4"});
 
   const auth::ClassicUserKey key = auth::ClassicUserKey::generate(*rng, kRsaBits);
   const auto cert = classic_ra->certify("greedy-classic", key.key.pub);
-  ClassicWorkerClient first(*net, key, cert, net->fork_rng("g1"));
-  ClassicWorkerClient second(*net, key, cert, net->fork_rng("g2"));
+  WorkerClient first(*net, *params, key, cert, net->fork_rng("g1"));
+  WorkerClient second(*net, *params, key, cert, net->fork_rng("g2"));
   EXPECT_TRUE(confirm(first.submit_answer(task, Fr::from_u64(1))).success);
   const chain::Receipt dup = confirm(second.submit_answer(task, Fr::from_u64(2)));
   EXPECT_FALSE(dup.success);
@@ -205,6 +205,66 @@ TEST_F(ClassicE2eTest, KSubmissionExtensionAllowsExactlyK) {
   const chain::Receipt third = confirm(w3.submit_answer(task, Fr::from_u64(3)));
   EXPECT_FALSE(third.success) << "third must be dropped";
   EXPECT_NE(third.error.find("double submission"), std::string::npos) << third.error;
+}
+
+
+// Mines two more blocks and expects none mined after `height` to carry a
+// transaction: a worker that refused to submit must not have sent anything,
+// not even the faucet transfer for its one-task address.
+void expect_nothing_sent(TestNet& net, std::uint64_t height) {
+  net.advance_blocks(2);
+  const chain::Blockchain& chain = net.client_node().chain();
+  for (const Bytes& hash : chain.canonical_chain()) {
+    const chain::Block* block = chain.block_by_hash(hash);
+    ASSERT_NE(block, nullptr);
+    if (block->header.number > height) {
+      EXPECT_TRUE(block->transactions.empty()) << "block " << block->header.number;
+    }
+  }
+}
+
+TEST_F(ClassicE2eTest, StaleCertificateSendsNothing) {
+  TestNet fresh({.seed = 607, .merkle_depth = 6});
+  const auth::UserKey req_key = auth::UserKey::generate(*rng);
+  auth::Certificate req_cert = fresh.register_participant("stale-requester", req_key.pk);
+  const auth::UserKey worker_key = auth::UserKey::generate(*rng);
+  const auth::Certificate worker_cert = fresh.register_participant("stale-worker", worker_key.pk);
+  const auth::UserKey late_key = auth::UserKey::generate(*rng);
+  fresh.register_participant("late-comer", late_key.pk);
+  req_cert = fresh.ra().current_certificate(req_cert.leaf_index);
+
+  RequesterClient requester(fresh, *params, req_key, req_cert, fresh.fork_rng("sreq"));
+  const chain::Address task =
+      requester.publish({.budget = 3'000'000, .num_answers = 3, .policy_name = "majority-vote:4"},
+                        fresh.on_chain_registry_root());
+
+  // The worker's path predates the late-comer: it no longer reaches the root.
+  WorkerClient worker(fresh, *params, worker_key, worker_cert, fresh.fork_rng("swork"));
+  const std::uint64_t height = fresh.height();
+  EXPECT_THROW(worker.submit_answer(task, Fr::from_u64(1)), std::invalid_argument);
+  expect_nothing_sent(fresh, height);
+}
+
+TEST_F(ClassicE2eTest, AuthModeMismatchRejectedBeforeSending) {
+  TestNet fresh({.seed = 608, .merkle_depth = 6});
+  const auth::UserKey anon_key = auth::UserKey::generate(*rng);
+  const auth::Certificate anon_cert = fresh.register_participant("mismatch-anon", anon_key.pk);
+  const auth::ClassicUserKey classic_key = auth::ClassicUserKey::generate(*rng, kRsaBits);
+  const auto classic_cert = classic_ra->certify("mismatch-classic", classic_key.key.pub);
+  const TaskSpec spec{.budget = 3'000'000, .num_answers = 3, .policy_name = "majority-vote:4"};
+
+  RequesterClient anon_requester(fresh, *params, anon_key, anon_cert, fresh.fork_rng("mra"));
+  const chain::Address anon_task = anon_requester.publish(spec, fresh.on_chain_registry_root());
+  RequesterClient classic_requester(fresh, *params, classic_key, classic_cert,
+                                    classic_ra->master_public_key(), fresh.fork_rng("mrc"));
+  const chain::Address classic_task = classic_requester.publish(spec);
+
+  WorkerClient anon_worker(fresh, *params, anon_key, anon_cert, fresh.fork_rng("mwa"));
+  WorkerClient classic_worker(fresh, *params, classic_key, classic_cert, fresh.fork_rng("mwc"));
+  const std::uint64_t height = fresh.height();
+  EXPECT_THROW(anon_worker.submit_answer(classic_task, Fr::from_u64(1)), std::invalid_argument);
+  EXPECT_THROW(classic_worker.submit_answer(anon_task, Fr::from_u64(1)), std::invalid_argument);
+  expect_nothing_sent(fresh, height);
 }
 
 }  // namespace

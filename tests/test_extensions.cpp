@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "chain/datastore.h"
-#include "zebralancer/classic_clients.h"
 #include "zebralancer/reputation.h"
 #include "zebralancer/scenario.h"
 
@@ -211,8 +210,8 @@ TEST_F(ExtensionE2eTest, ClassicTaskReportsReputation) {
   // Classic-mode task wired to the registry.
   const auth::ClassicUserKey req_key = auth::ClassicUserKey::generate(*rng, 1024);
   const auto req_cert = classic_ra->certify("rep-requester", req_key.key.pub);
-  ClassicRequesterClient requester(*net, *params, req_key, req_cert,
-                                   classic_ra->master_public_key(), net->fork_rng("rreq"));
+  RequesterClient requester(*net, *params, req_key, req_cert, classic_ra->master_public_key(),
+                            net->fork_rng("rreq"));
   TaskSpec spec{.budget = 2'000'000, .num_answers = 2, .policy_name = "majority-vote:4"};
   spec.reputation_registry = registry;
   const chain::Address task = requester.publish(spec);
@@ -227,8 +226,8 @@ TEST_F(ExtensionE2eTest, ClassicTaskReportsReputation) {
   const auth::ClassicUserKey k1 = auth::ClassicUserKey::generate(*rng, 1024);
   const auto c0 = classic_ra->certify("rep-w0", k0.key.pub);
   const auto c1 = classic_ra->certify("rep-w1", k1.key.pub);
-  ClassicWorkerClient w0(*net, k0, c0, net->fork_rng("rw0"));
-  ClassicWorkerClient w1(*net, k1, c1, net->fork_rng("rw1"));
+  WorkerClient w0(*net, *params, k0, c0, net->fork_rng("rw0"));
+  WorkerClient w1(*net, *params, k1, c1, net->fork_rng("rw1"));
   ASSERT_TRUE(confirm(w0.submit_answer(task, Fr::from_u64(2))).success);
   ASSERT_TRUE(confirm(w1.submit_answer(task, Fr::from_u64(2))).success);
 
@@ -254,19 +253,19 @@ TEST_F(ExtensionE2eTest, UnauthorizedReputationReportDoesNotBlockPayout) {
 
   const auth::ClassicUserKey req_key = auth::ClassicUserKey::generate(*rng, 1024);
   const auto req_cert = classic_ra->certify("rep-requester-2", req_key.key.pub);
-  ClassicRequesterClient requester(*net, *params, req_key, req_cert,
-                                   classic_ra->master_public_key(), net->fork_rng("rreq2"));
+  RequesterClient requester(*net, *params, req_key, req_cert, classic_ra->master_public_key(),
+                            net->fork_rng("rreq2"));
   TaskSpec spec{.budget = 2'000'000, .num_answers = 2, .policy_name = "majority-vote:4"};
   spec.reputation_registry = registry;  // never authorized
   const chain::Address task = requester.publish(spec);
 
   const auth::ClassicUserKey k0 = auth::ClassicUserKey::generate(*rng, 1024);
   const auto c0 = classic_ra->certify("rep2-w0", k0.key.pub);
-  ClassicWorkerClient w0(*net, k0, c0, net->fork_rng("r2w0"));
+  WorkerClient w0(*net, *params, k0, c0, net->fork_rng("r2w0"));
   ASSERT_TRUE(confirm(w0.submit_answer(task, Fr::from_u64(1))).success);
   const auth::ClassicUserKey k1 = auth::ClassicUserKey::generate(*rng, 1024);
   const auto c1 = classic_ra->certify("rep2-w1", k1.key.pub);
-  ClassicWorkerClient w1(*net, k1, c1, net->fork_rng("r2w1"));
+  WorkerClient w1(*net, *params, k1, c1, net->fork_rng("r2w1"));
   ASSERT_TRUE(confirm(w1.submit_answer(task, Fr::from_u64(1))).success);
 
   const auto rewards = requester.instruct_rewards();  // must not throw

@@ -41,7 +41,12 @@ class ProbeNode : public Node {
   void deliver_tx(const Transaction& tx) { accept_transaction(tx, false); }
   std::size_t mempool_size() const { return mempool_.size(); }
   std::size_t stashed_bodies() const { return known_txs_.size(); }
-  std::size_t orphan_parents() const { return orphans_.size(); }
+  std::size_t orphan_parents() const {
+    std::set<Hash32> parents;
+    for (const auto& [parent, block] : orphans_) parents.insert(parent);
+    return parents.size();
+  }
+  std::size_t parked_blocks() const { return orphans_.size(); }
 };
 
 TEST(NetworkEdge, ChildBeforeParentIsParkedAndReconnected) {
@@ -240,6 +245,30 @@ TEST(NetworkEdge, MalformedBlockLeavesNoBodiesOrOrphans) {
   node.deliver_block(mine_block(genesis, hostile.header.parent_hash, 9, 1, hostile.transactions));
   EXPECT_EQ(node.stashed_bodies(), 1u);
   EXPECT_EQ(node.orphan_parents(), 1u);
+}
+
+// Blocks mined at the chain's difficulty cost a peer almost nothing here, so
+// the orphan pool must not keep every unknown-parent block it is sent.
+TEST(NetworkEdge, OrphanPoolIsCapped) {
+  Rng rng(1508);
+  Wallet alice(rng);
+  const GenesisConfig genesis = tiny_genesis(alice.address());
+  SimNetwork net({.base_latency_ms = 1, .jitter_ms = 0, .seed = 8});
+  ProbeNode node(net, genesis);
+  TxFields junk;
+  junk.signature = Bytes(64, 0x5a);
+
+  const std::size_t cap = Node::kBodyPruneDepth;
+  for (std::uint64_t i = 0; i < cap + 8; ++i) {
+    junk.nonce = i;
+    Bytes parent(32, 0x77);
+    parent[0] = static_cast<std::uint8_t>(i);
+    node.deliver_block(mine_block(genesis, parent, 9, i, {Transaction(junk)}));
+    EXPECT_LE(node.parked_blocks(), cap);
+    EXPECT_LE(node.stashed_bodies(), cap);
+  }
+  EXPECT_EQ(node.parked_blocks(), cap);
+  EXPECT_EQ(node.stashed_bodies(), cap) << "evicted orphans take their bodies along";
 }
 
 // Counts what the hash bound below is stated in: transaction messages

@@ -214,16 +214,17 @@ run_scale() {
 #      families and all three exporters.
 #   3. TSan (reuses build-tsan): the concurrent-counter exactness and span
 #      tests under the race detector.
-#   4. Overhead gate: ON ingest tx/s must be within ZL_OBS_SMOKE_BUDGET_PCT
-#      (default 20%) of OFF. The smoke budget is deliberately padded — the
-#      smoke run is seconds long and noisy; the <2% budget DESIGN.md §14
-#      documents is measured on the full bench.
+#   4. Overhead gate: the median ON ingest tx/s must be within
+#      ZL_OBS_SMOKE_BUDGET_PCT (default 20%) of the median OFF, over three
+#      alternating OFF/ON smoke runs (single runs read anywhere from -22% to
+#      +36% with no obs code changed). The smoke budget is deliberately
+#      padded — the smoke run is seconds long and noisy; the <2% budget
+#      DESIGN.md §14 documents is measured on the full bench.
 run_obs() {
   off_dir="$repo_root/build-obsoff"
   cmake -S "$repo_root" -B "$off_dir" -G Ninja -DCMAKE_BUILD_TYPE=Release -DZL_OBS=OFF
   cmake --build "$off_dir" --target test_obs bench_scale obs_dump
   "$off_dir/tests/test_obs"
-  (cd "$off_dir" && ./bench/bench_scale --smoke)
 
   on_dir="$repo_root/build-lint"
   cmake -S "$repo_root" -B "$on_dir" -G Ninja -DCMAKE_BUILD_TYPE=Release
@@ -243,20 +244,27 @@ assert trace["traceEvents"], "obs_dump emitted an empty Chrome trace"
 print(f"obs_dump: all four metric families present, "
       f"{len(trace['traceEvents'])} trace events")
 EOF
-  (cd "$on_dir" && ./bench/bench_scale --smoke)
 
   tsan_dir="$repo_root/build-tsan"
   cmake -S "$repo_root" -B "$tsan_dir" -G Ninja -DCMAKE_BUILD_TYPE=Release -DZL_SANITIZE=thread
   cmake --build "$tsan_dir" --target test_obs
   "$tsan_dir/tests/test_obs"
 
+  for run in 1 2 3; do
+    for dir in "$off_dir" "$on_dir"; do
+      (cd "$dir" && ./bench/bench_scale --smoke && cp BENCH_scale.json "BENCH_scale.obs$run.json")
+    done
+  done
   python3 - "$off_dir" "$on_dir" "${ZL_OBS_SMOKE_BUDGET_PCT:-20}" <<'EOF'
-import json, sys
-off = json.load(open(sys.argv[1] + "/BENCH_scale.json"))["testnet"]["ingest_tx_per_s"]
-on = json.load(open(sys.argv[2] + "/BENCH_scale.json"))["testnet"]["ingest_tx_per_s"]
+import json, statistics, sys
+def median_ingest(d):
+    return statistics.median(
+        json.load(open(f"{d}/BENCH_scale.obs{run}.json"))["testnet"]["ingest_tx_per_s"]
+        for run in (1, 2, 3))
+off, on = median_ingest(sys.argv[1]), median_ingest(sys.argv[2])
 budget = float(sys.argv[3])
 overhead = 100.0 * (off - on) / off if off > 0 else 0.0
-print(f"obs overhead: OFF {off:.0f} tx/s, ON {on:.0f} tx/s, "
+print(f"obs overhead (median of 3): OFF {off:.0f} tx/s, ON {on:.0f} tx/s, "
       f"{overhead:+.1f}% (smoke budget {budget:.0f}%)")
 if overhead > budget:
     sys.exit(f"FAIL: obs instrumentation overhead {overhead:.1f}% exceeds "
