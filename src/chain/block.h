@@ -37,6 +37,12 @@ struct Block {
   bool well_formed() const;
 };
 
+/// The tx-root Merkle fold (pairwise Keccak, duplicate-last) over the ids
+/// of a non-empty body. With `siblings`, also appends tx `leaf`'s bottom-up
+/// sibling path: the inclusion proof a light client checks.
+Hash32 fold_tx_root(const std::vector<Transaction>& txs, std::size_t leaf = 0,
+                    std::vector<Hash32>* siblings = nullptr);
+
 /// PoW check: keccak(header) < 2^256 / difficulty.
 bool proof_of_work_valid(const BlockHeader& header);
 

@@ -158,11 +158,10 @@ bool Blockchain::add_block(const Block& block) {
   Bytes hash;
   if (!insert_block(block, &hash)) return false;
   if (journal_ != nullptr) {
-    // Journal before fork choice: once add_block returns true the block is
-    // on disk (and fsync-acknowledged when sync_every_block), so a crash
-    // can never forget an acknowledged block.
+    // Journal and fsync before fork choice: once add_block returns true the
+    // block is on disk, so a crash can never forget an acknowledged block.
     journal_->append_block(hash, block_to_bytes(block));
-    if (storage_.sync_every_block) journal_->sync();
+    journal_->sync();
   }
   choose_best_tip();
   return true;

@@ -57,11 +57,10 @@ class Blockchain {
   explicit Blockchain(const GenesisConfig& genesis, const store::OpenOptions& storage = {});
 
   /// Add a block. Returns true iff the block is new, well-formed and its
-  /// parent is known. In durable mode the block is journaled (and fsync'd,
-  /// unless sync_every_block is off) before fork choice runs — a true
-  /// return is a durability acknowledgement. Fork choice runs
-  /// automatically; an invalid body (non-applying transaction) blacklists
-  /// the block.
+  /// parent is known. In durable mode the block is journaled and fsync'd
+  /// before fork choice runs — a true return is a durability
+  /// acknowledgement. Fork choice runs automatically; an invalid body
+  /// (non-applying transaction) blacklists the block.
   bool add_block(const Block& block);
 
   bool knows(const Bytes& block_hash) const { return find_by_hash(blocks_, block_hash) != nullptr; }

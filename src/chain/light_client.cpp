@@ -1,6 +1,9 @@
 #include "chain/light_client.h"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "chain/network.h"
 
 namespace zl::chain {
 
@@ -39,21 +42,9 @@ TxInclusionProof make_tx_inclusion_proof(const Block& block, std::size_t tx_inde
   proof.index = tx_index;
   proof.block_hash = block.hash();
 
-  std::vector<Bytes> layer;
-  for (const Transaction& tx : block.transactions) layer.push_back(tx.hash());
-  std::size_t index = tx_index;
-  while (layer.size() > 1) {
-    const std::size_t sibling = (index % 2 == 0) ? std::min(index + 1, layer.size() - 1) : index - 1;
-    proof.siblings.push_back(layer[sibling]);
-    std::vector<Bytes> next;
-    for (std::size_t i = 0; i < layer.size(); i += 2) {
-      const Bytes& left = layer[i];
-      const Bytes& right = (i + 1 < layer.size()) ? layer[i + 1] : layer[i];
-      next.push_back(keccak256(concat({left, right})));
-    }
-    layer = std::move(next);
-    index /= 2;
-  }
+  std::vector<Hash32> path;
+  fold_tx_root(block.transactions, tx_index, &path);
+  for (const Hash32& sibling : path) proof.siblings.emplace_back(sibling.begin(), sibling.end());
   return proof;
 }
 
@@ -87,10 +78,14 @@ bool LightClient::add_header(const BlockHeader& header) {
 
   const Entry* parent = find_by_hash(headers_, header.parent_hash);
   if (parent == nullptr) {
-    // Park it until the parent arrives; a parent hash that is not 32 bytes
-    // long can never connect.
-    if (header.parent_hash.size() == std::tuple_size_v<Hash32>) {
-      orphans_[to_hash32(header.parent_hash)].push_back(header);
+    // Park it once until the parent arrives, keeping the newest
+    // kBodyPruneDepth as Node does. A parent hash that is not 32 bytes long
+    // can never connect.
+    const bool parked = std::any_of(orphans_.begin(), orphans_.end(),
+                                    [&](const auto& orphan) { return orphan.first == hash; });
+    if (!parked && header.parent_hash.size() == std::tuple_size_v<Hash32>) {
+      orphans_.emplace_back(hash, header);
+      if (orphans_.size() > Node::kBodyPruneDepth) orphans_.pop_front();
     }
     return false;
   }
@@ -102,13 +97,14 @@ bool LightClient::add_header(const BlockHeader& header) {
   headers_[hash] = entry;
   choose_head();
 
-  // Reconnect waiting children.
-  const auto it = orphans_.find(hash);
-  if (it != orphans_.end()) {
-    const std::vector<BlockHeader> children = std::move(it->second);
-    orphans_.erase(it);
-    for (const BlockHeader& child : children) add_header(child);
-  }
+  // Reconnect waiting children, in parked order.
+  std::vector<BlockHeader> children;
+  std::erase_if(orphans_, [&](const auto& orphan) {
+    if (to_hash32(orphan.second.parent_hash) != hash) return false;
+    children.push_back(orphan.second);
+    return true;
+  });
+  for (const BlockHeader& child : children) add_header(child);
   return true;
 }
 

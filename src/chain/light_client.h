@@ -8,6 +8,7 @@
 // against a header's tx_root, served by any untrusted full node. It never
 // stores bodies or executes contracts.
 
+#include <deque>
 #include <map>
 #include <optional>
 
@@ -16,7 +17,7 @@
 namespace zl::chain {
 
 /// Merkle inclusion proof for one transaction in a block body (the tx-root
-/// tree is pairwise Keccak with duplicate-last, see Block::compute_tx_root).
+/// tree is pairwise Keccak with duplicate-last, see fold_tx_root).
 struct TxInclusionProof {
   Bytes tx_hash;
   std::size_t index = 0;          // position in the block
@@ -39,8 +40,12 @@ class LightClient {
   LightClient(const Bytes& genesis_hash, std::uint64_t difficulty);
 
   /// Ingest a header (any order; orphans are parked like full nodes do).
-  /// Returns true if the header (eventually) connects.
+  /// Returns true if the header connects now.
   bool add_header(const BlockHeader& header);
+
+  /// Headers parked for an unknown parent: each at most once, and at most
+  /// Node::kBodyPruneDepth of them.
+  std::size_t parked_headers() const { return orphans_.size(); }
 
   std::uint64_t height() const;
   const Bytes& head_hash() const { return head_hash_; }
@@ -68,7 +73,7 @@ class LightClient {
   std::uint64_t difficulty_;
   Bytes head_hash_;
   std::map<Hash32, Entry> headers_;
-  std::map<Hash32, std::vector<BlockHeader>> orphans_;  // parent hash -> children
+  std::deque<std::pair<Hash32, BlockHeader>> orphans_;  // (hash, header), parked order
 };
 
 }  // namespace zl::chain

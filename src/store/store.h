@@ -20,18 +20,12 @@ struct OpenOptions {
   Vfs* vfs = nullptr;
   /// Root directory for this node's data (journal/ and snapshots/ beneath).
   std::string path;
-  /// Convenience flag: true forces in-memory even if vfs is set.
-  bool in_memory = false;
   /// Materialize a state snapshot every K canonical blocks (0 = never).
   std::uint64_t snapshot_interval = 16;
-  /// fsync the journal inside every accepted block (the durability ack).
-  /// Turning this off trades crash-loss of the unsynced tail for speed —
-  /// recovery still yields a consistent prefix.
-  bool sync_every_block = true;
   /// WAL segment rotation threshold.
   std::uint64_t max_segment_bytes = 4u << 20;
 
-  bool durable() const { return vfs != nullptr && !in_memory; }
+  bool durable() const { return vfs != nullptr; }
 };
 
 }  // namespace zl::store

@@ -61,11 +61,6 @@ RequesterClient::RequesterClient(TestNet& net, const SystemParams& params,
       identity_(ClassicIdentity{key, cert, mpk}),
       rng_(std::move(rng)) {}
 
-const Address& RequesterClient::one_task_address() const {
-  if (!wallet_) throw std::logic_error("RequesterClient: no task published yet");
-  return wallet_->address();
-}
-
 chain::Address RequesterClient::publish(const TaskSpec& spec, const Fr& registry_root) {
   spec_ = RewardCircuitSpec{spec.num_answers, spec.policy_name};
   if (!params_.has_reward_keypair(spec_)) {
@@ -147,11 +142,9 @@ std::vector<Fr> RequesterClient::decrypted_answers() const {
 
 std::vector<std::uint64_t> RequesterClient::instruct_rewards() {
   if (!collection_complete()) throw std::logic_error("RequesterClient: collection still open");
-  // Prove against the settled submission order; settling steps the network,
-  // so the contract is read only afterwards.
-  net_.settle_collection(task_address_);
   const TaskContract& task = contract();
-  // The contract's own ⊥-padded answer vector: the statement it will check.
+  // The contract's own ⊥-padded answer vector, in its canonical order: the
+  // statement it will check on whichever branch holds the answers.
   const RewardInstruction instruction =
       prove_rewards(params_.reward_keypair(spec_).pk, spec_, enc_key_, task.share(),
                     task.padded_ciphertexts(), rng_);

@@ -95,18 +95,18 @@ class RequesterClient {
   /// Whether the contract has collected n answers (or the deadline passed).
   bool collection_complete() const;
 
-  /// Reward phase: wait until the submission order is settled (see
-  /// TestNet::settle_collection), retrieve + decrypt all ciphertexts,
-  /// compute rewards per the policy, prove, and send the instruction.
-  /// Returns the rewards, in on-chain submission order.
+  /// Reward phase: retrieve + decrypt all ciphertexts, compute rewards per
+  /// the policy, prove, and send the instruction. Proves at once: the
+  /// contract keeps submissions in a canonical order, so a reorg that only
+  /// reorders the answers leaves the proof valid. Throws if the instruction
+  /// reverts; the caller may call again before instruction_deadline().
+  /// Returns the rewards, in the contract's submission order.
   std::vector<std::uint64_t> instruct_rewards();
 
   /// Retrieve and decrypt the collected answers (requester-only knowledge).
   std::vector<Fr> decrypted_answers() const;
 
   const chain::Address& task_address() const { return task_address_; }
-  const chain::Address& one_task_address() const;
-  const TaskEncKeyPair& enc_key() const { return enc_key_; }
 
   /// Transaction hashes of the publish / reward steps (for gas accounting
   /// in the experiment harness).

@@ -84,23 +84,6 @@ Bytes TestNet::fund(const Address& to, std::uint64_t amount) {
   return transfer.hash();
 }
 
-void TestNet::settle_collection(const Address& task) {
-  ZL_TRACE_SPAN("testnet.settle_collection");
-  const std::uint64_t deadline = network_.now() + 120'000;
-  for (;;) {
-    // Re-read the contract every step: a reorg replaces the chain state.
-    const auto* contract = client_node().chain().state().contract_as<TaskContract>(task);
-    if (contract != nullptr && contract->collection_complete(height()) &&
-        height() > contract->collection_end_block()) {
-      return;
-    }
-    if (network_.now() >= deadline) {
-      throw std::runtime_error("TestNet: task collection not settled before deadline");
-    }
-    network_.run_for(20);
-  }
-}
-
 void TestNet::advance_blocks(std::uint64_t blocks, std::uint64_t deadline_ms) {
   const std::uint64_t target = height() + blocks;
   if (!network_.run_until_height(target, deadline_ms)) {

@@ -40,14 +40,6 @@ class TestNet {
   chain::Receipt submit_and_confirm(const chain::Transaction& tx,
                                     std::uint64_t deadline_ms = 120'000);
 
-  /// Run the network until the task's submission list is settled on the
-  /// client node: collection is complete and the block that completed it
-  /// has a block on top — the confirmation rule of submit_and_confirm.
-  /// Answers share blocks, so competing blocks may hold them in different
-  /// orders; a reward instruction proves against this settled order.
-  /// Throws if that takes more than two simulated minutes.
-  void settle_collection(const chain::Address& task);
-
   /// Run the network until `blocks` more blocks are mined.
   void advance_blocks(std::uint64_t blocks, std::uint64_t deadline_ms = 240'000);
 

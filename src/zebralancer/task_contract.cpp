@@ -35,6 +35,15 @@ constexpr std::size_t kMaxCiphertextBytes = 1u << 16;
 // at deploy time so the reward path's count cap can never strand a task.
 constexpr std::uint32_t kMaxAnswers = 1u << 16;
 
+/// The canonical submission order: by one-task address (fresh per worker
+/// and task, so it leaks nothing about arrival), then ciphertext bytes.
+/// Competing blocks holding the same answers in any order thus yield the
+/// same reward statement, payments and reputation reports.
+bool submitted_before(const TaskContract::Submission& a, const TaskContract::Submission& b) {
+  if (a.worker_address != b.worker_address) return a.worker_address < b.worker_address;
+  return a.ciphertext.to_bytes() < b.ciphertext.to_bytes();
+}
+
 }  // namespace
 
 Bytes TaskParams::to_bytes() const {
@@ -228,6 +237,9 @@ void TaskContract::restore_state(const Bytes& state) {
     s.ciphertext = AnswerCiphertext::from_bytes(r.frame(kMaxCiphertextBytes));
     submissions_.push_back(std::move(s));
   }
+  if (!std::is_sorted(submissions_.begin(), submissions_.end(), submitted_before)) {
+    throw std::invalid_argument("TaskContract state: submissions out of canonical order");
+  }
   deploy_block_ = r.u64();
   collection_end_block_ = r.u64();
   finalized_ = r.u8() != 0;
@@ -341,7 +353,9 @@ void TaskContract::handle_submit(CallContext& ctx, const Bytes& args) {
   }
 
   ctx.charge(GasSchedule::kStorageWrite);
-  submissions_.push_back(std::move(submission));
+  submissions_.insert(
+      std::upper_bound(submissions_.begin(), submissions_.end(), submission, submitted_before),
+      std::move(submission));
   ZL_OBS_COUNTER_ADD("task.submissions", 1);
   if (submissions_.size() == params_.num_answers) {
     collection_end_block_ = ctx.block_number;

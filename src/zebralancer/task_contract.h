@@ -86,6 +86,8 @@ class TaskContract : public chain::Contract {
 
   // --- transparent on-chain state (readable by anyone, §III transparency) ---
   const TaskParams& params() const { return params_; }
+  /// Accepted submissions sorted by (one-task address, ciphertext bytes),
+  /// not arrival order; slot i of every rewards vector is submissions()[i].
   const std::vector<Submission>& submissions() const { return submissions_; }
   std::uint64_t deploy_block() const { return deploy_block_; }
   bool finalized() const { return finalized_; }

@@ -90,6 +90,28 @@ TEST(LightClient, OrphanHeadersReconnect) {
   EXPECT_EQ(light.height(), 2u) << "parked child reconnects";
 }
 
+TEST(LightClient, OrphanPoolDedupesAndIsCapped) {
+  Rng rng(1206);
+  Wallet alice(rng);
+  const GenesisConfig genesis = make_genesis(alice.address());
+  const Block g = genesis.build();
+  LightClient light(g.hash(), genesis.difficulty);
+
+  // One PoW-valid orphan re-delivered 1000 times parks once.
+  const Block orphan = mine(genesis, Bytes(32, 0xee), 5, 1, {});
+  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(light.add_header(orphan.header));
+  EXPECT_EQ(light.parked_headers(), 1u);
+
+  // 72 distinct orphans: the pool keeps the newest kBodyPruneDepth.
+  for (std::uint64_t i = 0; i < 72; ++i) {
+    const Block b = mine(genesis, Bytes(32, static_cast<std::uint8_t>(i)), 5, 100 + i, {});
+    EXPECT_FALSE(light.add_header(b.header));
+    EXPECT_LE(light.parked_headers(), Node::kBodyPruneDepth);
+  }
+  EXPECT_EQ(light.parked_headers(), Node::kBodyPruneDepth);
+  EXPECT_EQ(light.height(), 0u);
+}
+
 TEST(LightClient, RejectsBadPow) {
   Rng rng(1204);
   Wallet alice(rng);

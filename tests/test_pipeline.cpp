@@ -1,10 +1,14 @@
 // The pipelined §VI lifecycle: a worker's funding transfer and answer are
 // sent back to back, so answers share blocks and the miner orders them.
 // These tests pin what that may and may not change: an unfunded answer
-// simply never lands, rewards prove against the settled submission order,
-// a task takes a bounded number of blocks, and one block of answers to one
-// task prepares the task's auth key once.
+// simply never lands, a reward proved at once still pays by worker when a
+// competing block reorders the answers (the contract keeps submissions in
+// a canonical order), a task takes a bounded number of blocks, and one
+// block of answers to one task prepares the task's auth key once.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
 
 #include "obs/obs.h"
 #include "zebralancer/scenario.h"
@@ -74,6 +78,90 @@ std::vector<int> slot_owners(const TestNet& net, const chain::Address& task,
   return owners;
 }
 
+/// Worker index of each answer in the client node's canonical chain order:
+/// by including block, then position in that block. This is the arrival
+/// order a miner chose; the contract does not store it.
+std::vector<int> chain_order(const TestNet& net, const std::vector<Bytes>& answers) {
+  const chain::Blockchain& chain = net.client_node().chain();
+  const std::vector<Bytes> canonical = chain.canonical_chain();
+  std::vector<std::pair<std::pair<std::uint64_t, std::size_t>, int>> keyed;
+  for (std::size_t w = 0; w < answers.size(); ++w) {
+    const std::optional<std::uint64_t> number = chain.confirmation_block(answers[w]);
+    if (!number.has_value()) continue;
+    const std::vector<chain::Transaction>& txs =
+        chain.block_by_hash(canonical[*number])->transactions;
+    std::size_t pos = 0;
+    while (pos < txs.size() && txs[pos].hash() != answers[w]) ++pos;
+    keyed.push_back({{*number, pos}, static_cast<int>(w)});
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<int> order;
+  for (const auto& entry : keyed) order.push_back(entry.second);
+  return order;
+}
+
+/// Hashes of the canonical blocks that include the answers.
+std::set<Bytes> including_blocks(const TestNet& net, const std::vector<Bytes>& answers) {
+  const chain::Blockchain& chain = net.client_node().chain();
+  const std::vector<Bytes> canonical = chain.canonical_chain();
+  std::set<Bytes> blocks;
+  for (const Bytes& h : answers) {
+    const std::optional<std::uint64_t> number = chain.confirmation_block(h);
+    if (number.has_value()) blocks.insert(canonical[*number]);
+  }
+  return blocks;
+}
+
+/// One n = 3 task under slow gossip (40–60 ms per hop against ~64 ms
+/// blocks), so the two miners race often. The requester proves its reward
+/// as soon as every answer has a receipt on its node, with no wait for the
+/// answers' blocks to settle. Records the chain's answer order at that
+/// point and after the reward, and checks that every worker was paid by
+/// its own answer: the majority label 2 earns the share.
+struct RaceOutcome {
+  std::vector<int> first_order;  // chain order when the requester proved
+  std::set<Bytes> first_blocks;  // the blocks that held the answers then
+  std::vector<int> final_order;  // chain order once the reward confirmed
+  std::set<Bytes> final_blocks;
+};
+
+void run_race(std::uint64_t seed, RaceOutcome& out) {
+  constexpr unsigned kN = 3;
+  Rng rng(9001);
+  const SystemParams params = make_system_params(kDepth, {RewardCircuitSpec{kN, kPolicy}}, rng);
+  TestNet net({.base_latency_ms = 40, .jitter_ms = 20, .seed = seed, .merkle_depth = kDepth});
+  Rng key_rng(seed);
+  Participants p = register_participants(net, params, kN, key_rng);
+  const chain::Address task = p.requester->publish(
+      {.budget = 3'000'000, .num_answers = kN, .policy_name = kPolicy},
+      net.on_chain_registry_root());
+  const Fr labels[kN] = {Fr::from_u64(2), Fr::from_u64(2), Fr::from_u64(0)};
+  std::vector<Bytes> hashes;
+  for (unsigned i = 0; i < kN; ++i) hashes.push_back(p.workers[i]->submit_answer(task, labels[i]));
+  await_receipts(net, hashes);
+  out.first_order = chain_order(net, hashes);
+  out.first_blocks = including_blocks(net, hashes);
+
+  std::vector<std::uint64_t> rewards;
+  ASSERT_NO_THROW(rewards = p.requester->instruct_rewards());
+  out.final_order = chain_order(net, hashes);
+  out.final_blocks = including_blocks(net, hashes);
+
+  // Paid by worker, not by position.
+  const std::uint64_t expected[kN] = {1'000'000, 1'000'000, 0};
+  const std::vector<int> owners = slot_owners(net, task, p.workers);
+  ASSERT_EQ(rewards.size(), kN);
+  ASSERT_EQ(owners.size(), kN);
+  for (std::size_t k = 0; k < kN; ++k) {
+    ASSERT_GE(owners[k], 0) << "slot " << k;
+    EXPECT_EQ(rewards[k], expected[owners[k]]) << "slot " << k;
+  }
+  const auto* contract = net.client_node().chain().state().contract_as<TaskContract>(task);
+  ASSERT_NE(contract, nullptr);
+  EXPECT_TRUE(contract->rewarded());
+  EXPECT_EQ(contract->rewards(), rewards);
+}
+
 TEST(PipelinedLifecycle, UnfundedAnswerNeverGetsAReceipt) {
   // The faucet covers the requester's funding (budget + deploy gas + 3M)
   // but not one worker's 3M on top: the worker's transfer stays unmined, so
@@ -97,46 +185,37 @@ TEST(PipelinedLifecycle, UnfundedAnswerNeverGetsAReceipt) {
 }
 
 TEST(PipelinedLifecycle, RewardsProveAgainstSettledOrder) {
-  // Slow gossip (40–60 ms per hop against ~64 ms blocks) makes the two
-  // miners race often. At this seed they mine competing blocks that hold
-  // the same three answers in different orders: the client node first sees
-  // one order, the other branch wins. A reward proof over the first order
-  // reverts ("reward proof invalid"); instruct_rewards must wait until the
-  // order is settled and prove against that.
-  constexpr unsigned kN = 3;
-  Rng rng(9001);
-  const SystemParams params = make_system_params(kDepth, {RewardCircuitSpec{kN, kPolicy}}, rng);
-  constexpr std::uint64_t kSeed = 61;  // see the scenario above
-  TestNet net({.base_latency_ms = 40, .jitter_ms = 20, .seed = kSeed, .merkle_depth = kDepth});
-  Rng key_rng(kSeed);
-  Participants p = register_participants(net, params, kN, key_rng);
-  const chain::Address task = p.requester->publish(
-      {.budget = 3'000'000, .num_answers = kN, .policy_name = kPolicy},
-      net.on_chain_registry_root());
-  const Fr labels[kN] = {Fr::from_u64(2), Fr::from_u64(2), Fr::from_u64(0)};
-  std::vector<Bytes> hashes;
-  for (unsigned i = 0; i < kN; ++i) hashes.push_back(p.workers[i]->submit_answer(task, labels[i]));
-  await_receipts(net, hashes);
-  const std::vector<int> first_seen = slot_owners(net, task, p.workers);
-
-  std::vector<std::uint64_t> rewards;
-  ASSERT_NO_THROW(rewards = p.requester->instruct_rewards());
-  const std::vector<int> settled = slot_owners(net, task, p.workers);
-  ASSERT_NE(first_seen, settled) << "scenario lost: no competing block reordered the answers";
-
-  // Paid by worker, not by position: the majority label 2 earns the share.
-  const std::uint64_t expected[kN] = {1'000'000, 1'000'000, 0};
-  ASSERT_EQ(rewards.size(), kN);
-  ASSERT_EQ(settled.size(), kN);
-  for (std::size_t k = 0; k < kN; ++k) {
-    ASSERT_GE(settled[k], 0) << "slot " << k;
-    EXPECT_EQ(rewards[k], expected[settled[k]]) << "slot " << k;
+  // At this seed the miners mine competing blocks that hold the same three
+  // answers in different orders: the client node first sees one block
+  // order, and the other branch wins after the requester has proved. An
+  // arrival-order reward statement would revert ("reward proof invalid");
+  // the canonical submission order makes the first proof valid on both.
+  constexpr std::uint64_t kSeed = 61;
+  RaceOutcome race;
+  ASSERT_NO_FATAL_FAILURE(run_race(kSeed, race));
+  bool first_block_orphaned = false;
+  for (const Bytes& block : race.first_blocks) {
+    if (!race.final_blocks.contains(block)) first_block_orphaned = true;
   }
-  const auto* contract = net.client_node().chain().state().contract_as<TaskContract>(task);
-  ASSERT_NE(contract, nullptr);
-  EXPECT_TRUE(contract->rewarded());
-  EXPECT_EQ(contract->rewards(), rewards);
+  ASSERT_TRUE(first_block_orphaned) << "scenario lost: the first answer blocks stayed canonical";
+  ASSERT_NE(race.first_order, race.final_order)
+      << "scenario lost: the winning blocks hold the answers in the same order";
 }
+
+/// The other seeds of tools/reorg_sweep (besides 61 above) at which the
+/// winning branch reorders the answers after the requester has proved:
+/// with an arrival-order statement and no settle wait, each reverted.
+class ReorderedAnswersStillPay : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ReorderedAnswersStillPay, AtSeed) {
+  RaceOutcome race;
+  ASSERT_NO_FATAL_FAILURE(run_race(GetParam(), race));
+  EXPECT_NE(race.first_order, race.final_order) << "seed no longer reorders the answers";
+}
+
+INSTANTIATE_TEST_SUITE_P(PipelinedLifecycle, ReorderedAnswersStillPay,
+                         ::testing::Values(94, 98),
+                         [](const auto& info) { return "seed" + std::to_string(info.param); });
 
 /// One n = 11 task run end to end on the default TestNet; the tests below
 /// read what it recorded.
@@ -184,8 +263,8 @@ std::optional<std::uint64_t> ElevenAnswerTask::reward_block;
 zl::obs::Snapshot ElevenAnswerTask::run_obs;
 
 TEST_F(ElevenAnswerTask, BlocksFromPublishToRewardBounded) {
-  // Funding, deploy, funding, answers, the settle block, reward: about six
-  // blocks when nothing forks. Blocking on every funding took ~35.
+  // Funding, deploy, funding, answers, reward: about five blocks when
+  // nothing forks. Blocking on every funding took ~35.
   ASSERT_TRUE(reward_block.has_value()) << "reward not on the canonical chain";
   EXPECT_LE(*reward_block - publish_height, 10u);
   const auto* contract = net->client_node().chain().state().contract_as<TaskContract>(task);
@@ -193,14 +272,56 @@ TEST_F(ElevenAnswerTask, BlocksFromPublishToRewardBounded) {
   EXPECT_TRUE(contract->rewarded());
   EXPECT_EQ(contract->submissions().size(), kN);
   if (ZL_OBS_ENABLED) {
-    // The waits are traced: one settle, and confirmations only for the RA
-    // contract, its root updates, the deploy and the reward (fundings do
-    // not wait).
-    ASSERT_NE(run_obs.span("testnet.settle_collection"), nullptr);
-    EXPECT_EQ(run_obs.span("testnet.settle_collection")->count, 1u);
+    // The waits are traced: confirmations only for the RA contract, its
+    // root updates, the deploy and the reward (fundings do not wait), and
+    // no other wait: the reward is proved as soon as collection completes.
+    for (const auto& entry : run_obs.spans) {
+      const std::string& name = entry.first;
+      if (name.starts_with("testnet.")) {
+        EXPECT_EQ(name, "testnet.submit_and_confirm");
+      }
+    }
     ASSERT_NE(run_obs.span("testnet.submit_and_confirm"), nullptr);
     EXPECT_EQ(run_obs.span("testnet.submit_and_confirm")->count, 1u + (kN + 1) + 2);
   }
+}
+
+TEST_F(ElevenAnswerTask, RestoreRejectsOutOfOrderSubmissions) {
+  const auto* contract = net->client_node().chain().state().contract_as<TaskContract>(task);
+  ASSERT_NE(contract, nullptr);
+  std::vector<TaskContract::Submission> subs = contract->submissions();
+  ASSERT_EQ(subs.size(), kN);
+  // The snapshot layout, rebuilt from the public state with the
+  // submissions in the given order.
+  const auto encode = [&](const std::vector<TaskContract::Submission>& order) {
+    Bytes out;
+    append_frame(out, contract->params().to_bytes());
+    append_u32_be(out, static_cast<std::uint32_t>(order.size()));
+    for (const TaskContract::Submission& s : order) {
+      append_frame(out, s.worker_address.to_bytes());
+      append_frame(out, s.attestation.to_bytes());
+      append_frame(out, s.classic_pk);
+      append_frame(out, s.ciphertext.to_bytes());
+    }
+    append_u64_be(out, contract->deploy_block());
+    append_u64_be(out, contract->collection_end_block());
+    out.push_back(contract->finalized() ? 1 : 0);
+    out.push_back(contract->rewarded() ? 1 : 0);
+    append_u32_be(out, static_cast<std::uint32_t>(contract->rewards().size()));
+    for (const std::uint64_t r : contract->rewards()) append_u64_be(out, r);
+    append_frame(out, contract->reward_proof().to_bytes());
+    return out;
+  };
+  const Bytes canonical = encode(subs);
+  ASSERT_EQ(contract->snapshot_state(), canonical) << "layout drifted from snapshot_state";
+  TaskContract restored;
+  ASSERT_NO_THROW(restored.restore_state(canonical));
+  EXPECT_EQ(restored.snapshot_state(), canonical);
+
+  // Stored submissions are sorted by one-task address; a snapshot that
+  // lists two out of that order is corrupt, not a different task.
+  std::swap(subs[3], subs[7]);
+  EXPECT_THROW(TaskContract().restore_state(encode(subs)), std::invalid_argument);
 }
 
 TEST_F(ElevenAnswerTask, AnswerBlockPreparesAuthKeyOnce) {

@@ -46,6 +46,11 @@
 #             skipped with a warning when no clang++ is installed (the
 #             annotations are attribute no-ops under gcc); the lint rules
 #             run either way
+#   reorg   - the reward path under competing blocks: builds
+#             tools/reorg_sweep and runs 100 single-task seeds at 40-60 ms
+#             gossip; fails on any throw, reverted reward instruction or
+#             misattributed payment. Minutes long (about 200 s of wall time
+#             on 4 cores), so not in tier-1 ctest and not in the default matrix
 #
 # Usage: tools/check_all.sh [leg ...] [-- ctest args...]
 #   tools/check_all.sh                 # default matrix: lint circuit-audit asan ubsan tsan
@@ -62,8 +67,8 @@ legs=""
 while [ "$#" -gt 0 ]; do
   case "$1" in
     --) shift; break ;;
-    lint|asan|ubsan|tsan|ctcheck|store|circuit-audit|kernels|scale|obs|threadsafety|fuzz) legs="$legs $1"; shift ;;
-    *) echo "check_all: unknown leg '$1' (expected lint|asan|ubsan|tsan|ctcheck|store|circuit-audit|kernels|scale|obs|threadsafety|fuzz)" >&2; exit 2 ;;
+    lint|asan|ubsan|tsan|ctcheck|store|circuit-audit|kernels|scale|obs|threadsafety|fuzz|reorg) legs="$legs $1"; shift ;;
+    *) echo "check_all: unknown leg '$1' (expected lint|asan|ubsan|tsan|ctcheck|store|circuit-audit|kernels|scale|obs|threadsafety|fuzz|reorg)" >&2; exit 2 ;;
   esac
 done
 [ -n "$legs" ] || legs="lint circuit-audit asan ubsan tsan"
@@ -272,6 +277,15 @@ if overhead > budget:
 EOF
 }
 
+# Reorg leg: the reward-path sweep (plain Release build, reuses the lint
+# tree). reorg_sweep exits non-zero if any seed fails.
+run_reorg() {
+  build_dir="$repo_root/build-lint"
+  cmake -S "$repo_root" -B "$build_dir" -G Ninja -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$build_dir" --target reorg_sweep
+  "$build_dir/tools/reorg_sweep/reorg_sweep"
+}
+
 # $1 = leg name, $2 = extra cmake cache args, remaining = ctest args.
 run_suite() {
   leg="$1"; cache="$2"; shift 2
@@ -314,6 +328,8 @@ for leg in $legs; do
       run_threadsafety || status=$? ;;
     fuzz)
       run_fuzz || status=$? ;;
+    reorg)
+      run_reorg || status=$? ;;
   esac
   if [ "$status" -ne 0 ]; then
     echo "==== check_all: $leg FAILED ====" >&2
