@@ -167,6 +167,21 @@ bool Blockchain::add_block(const Block& block) {
   return true;
 }
 
+bool Blockchain::apply_block(ChainState& state, ReceiptMap& receipts, const Block& block) {
+  // Fan the expensive pure checks (signatures, snark proofs) out on the
+  // thread pool; the sequential applies below then hit warm memos.
+  prevalidate_block(state, block.transactions);
+  for (const Transaction& tx : block.transactions) {
+    try {
+      Receipt r = state.apply_transaction(tx, block.header.number, block.header.miner);
+      receipts[tx.id()] = {std::move(r), block.header.number};
+    } catch (const std::invalid_argument&) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void Blockchain::choose_best_tip() {
   for (;;) {
     // Highest total difficulty among valid blocks; ties go to the lowest
@@ -185,23 +200,13 @@ void Blockchain::choose_best_tip() {
     // block instead of replaying the whole chain.
     const Block& block = best->second.block;
     if (block.header.parent_hash == head_hash_) {
-      // Fan the expensive pure checks (signatures, snark proofs) out on the
-      // thread pool; the sequential applies below then hit warm memo caches.
-      prevalidate_block(state_, block.transactions);
-      bool ok = true;
-      std::vector<HeadEvent> confirmed;
-      for (const Transaction& tx : block.transactions) {
-        try {
-          Receipt r = state_.apply_transaction(tx, block.header.number, block.header.miner);
-          receipts_[tx.id()] = {std::move(r), block.header.number};
-          confirmed.push_back(HeadEvent{tx.id(), true});
-        } catch (const std::invalid_argument&) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) {
+      if (apply_block(state_, receipts_, block)) {
         head_hash_.assign(best->first.begin(), best->first.end());
+        std::vector<HeadEvent> confirmed;
+        confirmed.reserve(block.transactions.size());
+        for (const Transaction& tx : block.transactions) {
+          confirmed.push_back(HeadEvent{tx.id(), true});
+        }
         append_head_events(std::move(confirmed));
         maybe_checkpoint();
         return;
@@ -249,18 +254,12 @@ bool Blockchain::adopt_branch(const Hash32& tip_hash) {
     const auto& [hash, entry] = *it;
     const Block& block = entry->block;
     if (block.header.number == 0) continue;
-    prevalidate_block(fresh, block.transactions);
-    for (const Transaction& tx : block.transactions) {
-      try {
-        Receipt r = fresh.apply_transaction(tx, block.header.number, block.header.miner);
-        fresh_receipts[tx.id()] = {std::move(r), block.header.number};
-      } catch (const std::invalid_argument&) {
-        // Blacklist this block and everything above it on the branch (the
-        // tip included): blacklisting this block alone would leave the
-        // heavier tip selectable, and fork choice would replay it forever.
-        for (auto up = branch.begin(); up != it.base(); ++up) up->second->invalid = true;
-        return false;
-      }
+    if (!apply_block(fresh, fresh_receipts, block)) {
+      // Blacklist this block and everything above it on the branch (the
+      // tip included): blacklisting this block alone would leave the
+      // heavier tip selectable, and fork choice would replay it forever.
+      for (auto up = branch.begin(); up != it.base(); ++up) up->second->invalid = true;
+      return false;
     }
     // Leave restore points along the replayed stretch, so the next reorg
     // onto this branch starts even closer to the fork point.

@@ -90,7 +90,6 @@ class Blockchain {
   std::uint64_t difficulty() const { return genesis_.difficulty; }
 
   bool durable() const { return journal_ != nullptr; }
-  const store::OpenOptions& storage_options() const { return storage_; }
   /// Durable-mode internals, exposed for tests and tooling (nullptr when
   /// in-memory).
   const store::BlockJournal* journal() const { return journal_.get(); }
@@ -135,6 +134,12 @@ class Blockchain {
 
   /// Structural acceptance only: no journaling, no fork choice.
   bool insert_block(const Block& block, Bytes* hash_out);
+
+  /// Prevalidate `block`, then apply its transactions to `state` in order,
+  /// recording each receipt. False at the first transaction that does not
+  /// apply (std::invalid_argument), leaving `state` and `receipts` partly
+  /// applied: the caller discards or rebuilds them.
+  static bool apply_block(ChainState& state, ReceiptMap& receipts, const Block& block);
 
   /// Re-derive state_ by replaying the branch ending at `tip_hash`,
   /// starting from the nearest cached checkpoint on its ancestry (genesis

@@ -23,6 +23,7 @@
 namespace zl::chain {
 
 class ChainState;
+class Transaction;
 
 /// Everything a contract invocation can see and touch.
 struct CallContext {
@@ -41,8 +42,10 @@ struct CallContext {
 
   /// The snark_verify precompile: verifies a Groth16 proof, charging the
   /// EIP-197-style pairing price (4 pairings per Groth16 verification).
-  /// Results are memoized process-wide — verification is a deterministic
-  /// pure function, and nodes replay the same proofs on every fork reorg.
+  /// Results are memoized process-wide in snark_memo() (chain/validation.h)
+  /// — verification is a deterministic pure function, nodes replay the same
+  /// proofs on every fork reorg, and block prevalidation warms the memo with
+  /// the triples Contract::snark_prechecks names.
   bool snark_verify(const snark::VerifyingKey& vk, const std::vector<Fr>& statement,
                     const snark::Proof& proof) const;
 
@@ -58,6 +61,14 @@ struct CallContext {
   /// Throws ContractRevert if the callee is missing or reverts (and the
   /// revert propagates, as in the EVM).
   void call_contract(const Address& callee, const std::string& method, const Bytes& args) const;
+};
+
+/// One snark_verify evaluation a transaction will perform if applied on top
+/// of the observed state: enough to verify it out-of-band and warm the memo.
+struct SnarkPrecheck {
+  snark::VerifyingKey vk;
+  std::vector<Fr> statement;
+  snark::Proof proof;
 };
 
 /// A deployed contract. Implementations must be deterministic functions of
@@ -85,6 +96,16 @@ class Contract {
   virtual std::optional<Bytes> snapshot_state() const { return std::nullopt; }
   virtual void restore_state(const Bytes& /*state*/) {
     throw std::invalid_argument("contract type does not support snapshot restore");
+  }
+
+  /// The snark_verify calls `tx` would issue if applied to this instance in
+  /// its current state: a call to this contract, or — asked of a blank
+  /// factory instance — a creation of this type. Block prevalidation
+  /// verifies them in one parallel batch ahead of sequential apply.
+  /// Best-effort and read-only: return nothing (or throw) for a transaction
+  /// that would revert first; a wrong guess is only a memo miss.
+  virtual std::vector<SnarkPrecheck> snark_prechecks(const Transaction& /*tx*/) const {
+    return {};
   }
 };
 

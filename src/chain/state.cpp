@@ -4,8 +4,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/annotations.h"
-#include "common/mutex.h"
+#include "chain/validation.h"
 #include "obs/obs.h"
 #include "crypto/keccak.h"
 
@@ -28,26 +27,6 @@ std::unique_ptr<Contract> ContractFactory::create(const std::string& name) const
 
 bool ContractFactory::knows(const std::string& name) const { return makers_.contains(name); }
 
-namespace {
-
-// Process-wide memo of snark_verify precompile results. Verification is a
-// deterministic pure function, and nodes replay the same proofs on every fork
-// reorg — and, since the parallel validation pipeline, block prevalidation
-// warms this map from pool threads ahead of sequential apply, so access is
-// guarded by a ranked mutex (kSnarkMemoCache, the deepest rank in the chain
-// hierarchy; DESIGN.md §13).
-struct SnarkVerifyCache {
-  OrderedMutex mutex{LockRank::kSnarkMemoCache, "state.snark_verify_cache"};
-  std::unordered_map<Hash32, bool, Hash32Hasher> results ZL_GUARDED_BY(mutex);
-};
-
-SnarkVerifyCache& snark_verify_cache() {
-  static SnarkVerifyCache cache;
-  return cache;
-}
-
-}  // namespace
-
 Hash32 snark_verify_cache_key(const snark::VerifyingKey& vk, const std::vector<Fr>& statement,
                               const snark::Proof& proof) {
   Bytes key_bytes = vk.to_bytes();
@@ -60,37 +39,17 @@ Hash32 snark_verify_cache_key(const snark::VerifyingKey& vk, const std::vector<F
   return to_hash32(keccak256(key_bytes));
 }
 
-void warm_snark_verify_cache(const Hash32& cache_key, bool ok) {
-  SnarkVerifyCache& cache = snark_verify_cache();
-  const MutexLock lock(cache.mutex);
-  cache.results.emplace(cache_key, ok);
-}
-
-void clear_snark_verify_cache() {
-  SnarkVerifyCache& cache = snark_verify_cache();
-  const MutexLock lock(cache.mutex);
-  cache.results.clear();
-}
-
 bool CallContext::snark_verify(const snark::VerifyingKey& vk, const std::vector<Fr>& statement,
                                const snark::Proof& proof) const {
   charge(GasSchedule::snark_verify_cost(4));
   const Hash32 key = snark_verify_cache_key(vk, statement, proof);
-  SnarkVerifyCache& cache = snark_verify_cache();
-  {
-    const MutexLock lock(cache.mutex);
-    const auto it = cache.results.find(key);
-    if (it != cache.results.end()) {
-      ZL_OBS_COUNTER_ADD("validation.snark_cache.hit", 1);
-      return it->second;
-    }
+  if (const std::optional<bool> cached = snark_memo().find(key)) {
+    ZL_OBS_COUNTER_ADD("validation.snark_cache.hit", 1);
+    return *cached;
   }
   ZL_OBS_COUNTER_ADD("validation.snark_cache.miss", 1);
   const bool ok = snark::verify(vk, statement, proof);
-  {
-    const MutexLock lock(cache.mutex);
-    cache.results.emplace(key, ok);
-  }
+  snark_memo().insert(key, ok);
   return ok;
 }
 

@@ -1,49 +1,10 @@
 #include "chain/tx.h"
 
-#include <unordered_map>
-
 #include "chain/gas.h"
-#include "common/annotations.h"
-#include "common/mutex.h"
+#include "chain/validation.h"
 #include "obs/obs.h"
 
 namespace zl::chain {
-
-namespace {
-
-// Process-wide signature-verdict memo, keyed by the transaction's id. ECDSA
-// verification costs two scalar multiplications, so every re-verification
-// after the first (block apply, fork replay, re-gossip on another simulated
-// node) collapses to a hash-map hit. Guarded by a ranked mutex
-// (kSigVerdictCache — a leaf-ish lock taken while pool workers hold the
-// region lock; DESIGN.md §13) because block prevalidation warms it from pool
-// threads while serial apply reads it.
-struct SignatureVerdictCache {
-  // Re-verification clusters around recent transactions; a full reset at the
-  // cap is simpler than LRU and amortizes to a no-op.
-  static constexpr std::size_t kMaxEntries = 1u << 20;
-  OrderedMutex mutex{LockRank::kSigVerdictCache, "tx.sig_verdict_cache"};
-  std::unordered_map<Hash32, bool, Hash32Hasher> verdicts ZL_GUARDED_BY(mutex);
-};
-
-SignatureVerdictCache& signature_verdict_cache() {
-  static SignatureVerdictCache cache;
-  return cache;
-}
-
-}  // namespace
-
-void clear_signature_verdict_cache() {
-  SignatureVerdictCache& cache = signature_verdict_cache();
-  const MutexLock lock(cache.mutex);
-  cache.verdicts.clear();
-}
-
-std::size_t signature_verdict_cache_size() {
-  SignatureVerdictCache& cache = signature_verdict_cache();
-  const MutexLock lock(cache.mutex);
-  return cache.verdicts.size();
-}
 
 Bytes TxFields::signing_bytes() const {
   Bytes out;
@@ -113,14 +74,12 @@ Transaction Transaction::from_bytes(const Bytes& bytes) {
 bool Transaction::verify_signature() const {
   const TxFields& f = fields_;
   if (f.pubkey.size() != 65 || f.signature.size() != 64) return false;
-  SignatureVerdictCache& cache = signature_verdict_cache();
-  {
-    const MutexLock lock(cache.mutex);
-    const auto it = cache.verdicts.find(id_);
-    if (it != cache.verdicts.end()) {
-      ZL_OBS_COUNTER_ADD("validation.sig_cache.hit", 1);
-      return it->second;
-    }
+  // Every re-verification after the first (block apply, fork replay,
+  // re-gossip on another simulated node) is a memo hit: ECDSA costs two
+  // scalar multiplications, the lookup one hash-map probe.
+  if (const std::optional<bool> cached = signature_memo().find(id_)) {
+    ZL_OBS_COUNTER_ADD("validation.sig_cache.hit", 1);
+    return *cached;
   }
   ZL_OBS_COUNTER_ADD("validation.sig_cache.miss", 1);
   ZL_OBS_SCOPED_LATENCY_US("validation.sig_verify_us");
@@ -131,11 +90,7 @@ bool Transaction::verify_signature() const {
   } catch (const std::invalid_argument&) {
     ok = false;
   }
-  {
-    const MutexLock lock(cache.mutex);
-    if (cache.verdicts.size() >= SignatureVerdictCache::kMaxEntries) cache.verdicts.clear();
-    cache.verdicts.emplace(id_, ok);
-  }
+  signature_memo().insert(id_, ok);
   return ok;
 }
 

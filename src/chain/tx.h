@@ -66,7 +66,8 @@ class Transaction {
   bool is_contract_creation() const { return fields_.to.is_zero(); }
 
   /// Signature valid and `from` matches the signing key. The verdict is
-  /// memoized process-wide, keyed by id(): a tx verified at mempool
+  /// memoized process-wide in signature_memo() (chain/validation.h), keyed
+  /// by id(): a tx verified at mempool
   /// admission is not re-verified inside block apply or fork replay. The
   /// hash covers every field (including pubkey and signature), so a crafted
   /// variant is a different transaction with its own key.
@@ -81,12 +82,6 @@ class Transaction {
   TxFields fields_;
   Hash32 id_;
 };
-
-/// Drop every memoized signature verdict (benches use this to time the cold
-/// path; see also chain::clear_validation_caches in validation.h).
-void clear_signature_verdict_cache();
-/// Number of memoized signature verdicts (observability for tests).
-std::size_t signature_verdict_cache_size();
 
 /// A signing account: keypair + address + nonce tracking. Participants
 /// create one Wallet per task to realize the paper's one-task-only

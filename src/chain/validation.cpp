@@ -4,8 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/annotations.h"
-#include "common/mutex.h"
 #include "common/thread_pool.h"
 #include "obs/obs.h"
 #include "snark/groth16.h"
@@ -14,28 +12,34 @@ namespace zl::chain {
 
 namespace {
 
-// The parallel-validation toggle and the memo caches it feeds are safe to
+// The parallel-validation toggle and the memos it feeds are safe to
 // flip/clear mid-validation from another thread: the flag is sampled once
-// per prevalidate call, and a cleared cache is only ever a miss (re-verify),
+// per prevalidate call, and a cleared memo is only ever a miss (re-verify),
 // never a wrong verdict. See set_parallel_validation/clear_validation_caches.
 std::atomic<bool> g_parallel_validation{true};
 
-struct ExtractorRegistry {
-  OrderedMutex mutex{LockRank::kExtractorRegistry, "validation.extractor_registry"};
-  std::vector<SnarkPrecheckExtractor> extractors ZL_GUARDED_BY(mutex);
-};
-
-ExtractorRegistry& extractor_registry() {
-  static ExtractorRegistry registry;
-  return registry;
+/// The snark_verify calls `tx` will issue: asked of the contract it calls,
+/// or of a blank instance of the type a creation deploys.
+std::vector<SnarkPrecheck> snark_prechecks(const ChainState& pre_state, const Transaction& tx) {
+  if (!tx.is_contract_creation()) {
+    const Contract* contract = pre_state.contract_at(tx.to());
+    return contract == nullptr ? std::vector<SnarkPrecheck>{} : contract->snark_prechecks(tx);
+  }
+  const ContractFactory& factory = ContractFactory::instance();
+  if (!factory.knows(tx.method())) return {};
+  return factory.create(tx.method())->snark_prechecks(tx);
 }
 
 }  // namespace
 
-void register_snark_precheck_extractor(SnarkPrecheckExtractor extractor) {
-  ExtractorRegistry& registry = extractor_registry();
-  const MutexLock lock(registry.mutex);
-  registry.extractors.push_back(std::move(extractor));
+VerdictMemo& signature_memo() {
+  static VerdictMemo memo{LockRank::kSigVerdictCache, "tx.sig_verdict_cache"};
+  return memo;
+}
+
+VerdictMemo& snark_memo() {
+  static VerdictMemo memo{LockRank::kSnarkMemoCache, "state.snark_verify_cache"};
+  return memo;
 }
 
 void set_parallel_validation(bool enabled) {
@@ -47,8 +51,8 @@ bool parallel_validation_enabled() {
 }
 
 void clear_validation_caches() {
-  clear_signature_verdict_cache();
-  clear_snark_verify_cache();
+  signature_memo().clear();
+  snark_memo().clear();
 }
 
 void prevalidate_block(const ChainState& pre_state, const std::vector<Transaction>& txs) {
@@ -67,32 +71,22 @@ void prevalidate_block(const ChainState& pre_state, const std::vector<Transactio
   // pairing work runs in one parallel batch. Statements are extracted
   // against the pre-block state, so a proof whose statement depends on an
   // earlier transaction in the same block yields a differently-keyed entry —
-  // a cache miss at apply time, never a wrong verdict.
-  // The registry lock is released before verify_batch below: pairing work
-  // must not serialize against extractor registration, and verify_batch
-  // re-enters the thread pool (rank kPoolRegion < kExtractorRegistry would
-  // otherwise trip the ordering check).
+  // a memo miss at apply time, never a wrong verdict.
   std::vector<snark::BatchVerifyItem> items;
-  {
-    ExtractorRegistry& registry = extractor_registry();
-    const MutexLock lock(registry.mutex);
-    for (const Transaction& tx : txs) {
-      for (const SnarkPrecheckExtractor& extract : registry.extractors) {
-        try {
-          for (SnarkPrecheck& p : extract(pre_state, tx)) {
-            items.push_back({std::move(p.vk), std::move(p.statement), p.proof});
-          }
-        } catch (const std::exception&) {
-          // Extractors are best-effort; a confused one warms nothing.
-        }
+  for (const Transaction& tx : txs) {
+    try {
+      for (SnarkPrecheck& p : snark_prechecks(pre_state, tx)) {
+        items.push_back({std::move(p.vk), std::move(p.statement), p.proof});
       }
+    } catch (const std::exception&) {
+      // Prechecks are best-effort; a confused one warms nothing.
     }
   }
   if (items.empty()) return;
   ZL_OBS_COUNTER_ADD("validation.snark_precheck.items", items.size());
   const std::vector<std::uint8_t> ok = snark::verify_batch(items);
   for (std::size_t i = 0; i < items.size(); ++i) {
-    warm_snark_verify_cache(
+    snark_memo().insert(
         snark_verify_cache_key(items[i].vk, items[i].public_inputs, items[i].proof), ok[i] != 0);
   }
 }

@@ -29,10 +29,10 @@
 //    40   kPoolRegion   region_mutex_   one top-level parallel region at a
 //                                       time (ThreadPool).
 //    50   kPoolQueue    mutex_          ThreadPool job + worker bookkeeping.
-//    60   kExtractorRegistry            snark-precheck extractor list
-//                                       (chain/validation.cpp).
-//    70   kSigVerdictCache              signature-verdict memo (chain/tx.cpp).
-//    80   kSnarkMemoCache               snark_verify memo (chain/state.cpp).
+//    70   kSigVerdictCache              signature VerdictMemo
+//                                       (chain/validation.h).
+//    80   kSnarkMemoCache               snark_verify VerdictMemo
+//                                       (chain/validation.h).
 //    84   kObsRegistry                  obs metric + trace-ring registries
 //                                       (src/obs) — above every subsystem
 //                                       lock so instrumented code may
@@ -61,7 +61,6 @@ enum class LockRank : unsigned {
   kMempool = 30,
   kPoolRegion = 40,
   kPoolQueue = 50,
-  kExtractorRegistry = 60,
   kSigVerdictCache = 70,
   kSnarkMemoCache = 80,
   kObsRegistry = 84,
@@ -86,7 +85,7 @@ struct HeldLock {
 /// (the process thread pool) taking a ranked lock in its destructor would
 /// push into a freed vector. A POD array has no TLS destructor and stays
 /// valid for the whole thread lifetime. The depth bound is generous: the
-/// hierarchy has eleven ranks and a thread can hold at most one blocking
+/// hierarchy has ten ranks and a thread can hold at most one blocking
 /// acquisition per rank, so 32 only trips on grossly undisciplined code.
 struct HeldLockStack {
   static constexpr std::size_t kMaxDepth = 32;

@@ -43,8 +43,6 @@ class JubjubPoint {
 
   static JubjubPoint identity() { return JubjubPoint(); }
 
-  bool is_identity() const { return x.is_zero() && y == Fr::one(); }
-
   bool is_on_curve() const {
     const Fr x2 = x.squared(), y2 = y.squared();
     return param_a() * x2 + y2 == Fr::one() + param_d() * x2 * y2;

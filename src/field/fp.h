@@ -358,9 +358,6 @@ class Fp {
     return pow(modulus_bigint() - 2);
   }
 
-  /// Raw Montgomery limbs (for hashing/serialization-free comparisons).
-  const Limbs& montgomery_limbs() const { return limbs_; }
-
   /// Wipe the element in place (secret-key destructors route through this;
   /// zl-lint's secret-zeroize rule checks for it).
   void zeroize() {

@@ -77,7 +77,6 @@ class FaultFile final : public VfsFile {
   void sync() override {
     check();
     if (vfs_.tick_op()) vfs_.power_cut();
-    if (vfs_.drop_sync_) return;  // the lying-disk fault
     inode_->durable = inode_->live;
   }
 
@@ -197,7 +196,6 @@ void FaultVfs::make_dirs(const std::string& path) {
 void FaultVfs::sync_dir(const std::string& dir) {
   check_alive();
   if (tick_op()) power_cut();
-  if (drop_sync_) return;
   // Commit the live namespace of `dir`: entries present become durably
   // reachable (with whatever content their inode's last fsync committed —
   // possibly none, the real-world "zero-length file after crash" artifact);

@@ -25,7 +25,6 @@
 //
 // Independent fault knobs (all deterministic):
 //   - short_reads:      read() returns at most 7 bytes per call
-//   - drop_sync:        sync()/sync_dir() lie — report success, commit nothing
 //   - capacity_bytes:   total live bytes cap; writes beyond raise NoSpace
 
 #include <map>
@@ -59,7 +58,6 @@ class FaultVfs final : public Vfs {
   void recover();
 
   void set_short_reads(bool on) { short_reads_ = on; }
-  void set_drop_sync(bool on) { drop_sync_ = on; }
   /// 0 = unlimited.
   void set_capacity(std::uint64_t bytes) { capacity_bytes_ = bytes; }
 
@@ -102,7 +100,6 @@ class FaultVfs final : public Vfs {
   std::uint64_t generation_ = 0;   // bumped on crash; stale handles die
   bool crashed_ = false;
   bool short_reads_ = false;
-  bool drop_sync_ = false;
   std::uint64_t capacity_bytes_ = 0;
 };
 

@@ -40,10 +40,6 @@ class BlockJournal {
   bool contains(const Bytes& block_hash) const;
   std::size_t size() const { return index_.size(); }
 
-  /// Drop whole segments older than the current one (safe once a snapshot
-  /// plus the retained tail can rebuild every state the node may adopt).
-  void prune_covered_history() { wal_.prune_segments_below(wal_.segment_index()); }
-
   std::uint64_t records_truncated() const { return wal_.records_truncated(); }
 
  private:

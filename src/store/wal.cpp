@@ -178,17 +178,4 @@ void Wal::sync() {
   dirty_ = false;
 }
 
-void Wal::prune_segments_below(std::uint64_t segment_index) {
-  bool removed = false;
-  for (const std::string& name : vfs_.list(dir_)) {
-    unsigned long long index = 0;
-    if (std::sscanf(name.c_str(), "wal-%08llu.seg", &index) == 1 && index < segment_index &&
-        index != segment_index_) {
-      vfs_.remove(dir_ + "/" + name);
-      removed = true;
-    }
-  }
-  if (removed) vfs_.sync_dir(dir_);
-}
-
 }  // namespace zl::store

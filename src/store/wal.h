@@ -19,8 +19,9 @@
 // This is exactly the "tear at the tail, never in the middle" guarantee a
 // prefix-torn disk gives an append-only file.
 //
-// Segments rotate at `max_segment_bytes` so old history can be pruned once
-// a snapshot covers it (prune_segments_below).
+// Segments rotate at `max_segment_bytes`. Nothing is pruned: the block
+// journal is the node's only block store (open_durable rebuilds the block
+// tree from it), so every segment stays.
 
 #include <functional>
 
@@ -48,14 +49,9 @@ class Wal {
   /// fsync the tail segment — acknowledges every staged record.
   void sync();
 
-  /// Delete whole segments whose records were all appended before the
-  /// current segment with index < `segment_index` (snapshot pruning).
-  void prune_segments_below(std::uint64_t segment_index);
-
   std::uint64_t segment_index() const { return segment_index_; }
   std::uint64_t records_replayed() const { return records_replayed_; }
   std::uint64_t records_truncated() const { return records_truncated_; }
-  std::uint64_t tail_offset() const { return tail_offset_; }
 
   static constexpr std::size_t kHeaderSize = 8;        // "ZLWAL1\n" + version
   static constexpr std::size_t kRecordHeader = 4 + 1 + 4;  // len + type + crc

@@ -31,9 +31,6 @@ class ReputationRegistryContract : public chain::Contract {
   /// Current score for an identity digest (0 if never seen).
   std::int64_t score(const Bytes& identity_digest) const;
   const chain::Address& owner() const { return owner_; }
-  bool is_authorized(const chain::Address& reporter) const {
-    return authorized_.contains(reporter);
-  }
 
   /// Wire encoding for the "record" call: identity digest + signed delta.
   static Bytes encode_record_args(const Bytes& identity_digest, std::int64_t delta);

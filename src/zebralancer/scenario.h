@@ -45,10 +45,8 @@ class TestNet {
 
   std::uint64_t height() const { return client_node().chain().height(); }
 
-  /// The registration authority (off-chain service) and its on-chain
-  /// interface contract.
+  /// The registration authority (off-chain service).
   auth::RegistrationAuthority& ra() { return ra_; }
-  const chain::Address& ra_contract_address() const { return ra_contract_address_; }
   /// Deploy/refresh the RA interface contract with the current root.
   void publish_ra_root();
   Fr on_chain_registry_root() const;

@@ -44,6 +44,10 @@ bool submitted_before(const TaskContract::Submission& a, const TaskContract::Sub
   return a.ciphertext.to_bytes() < b.ciphertext.to_bytes();
 }
 
+bool verified(const CallContext& ctx, const chain::SnarkPrecheck& check) {
+  return ctx.snark_verify(check.vk, check.statement, check.proof);
+}
+
 }  // namespace
 
 Bytes TaskParams::to_bytes() const {
@@ -99,55 +103,38 @@ void TaskContract::register_type() {
   if (!chain::ContractFactory::instance().knows(kContractType)) {
     chain::ContractFactory::instance().register_type(
         kContractType, [] { return std::make_unique<TaskContract>(); });
-    chain::register_snark_precheck_extractor(task_snark_prechecks);
   }
 }
 
-std::vector<chain::SnarkPrecheck> task_snark_prechecks(const chain::ChainState& state,
-                                                       const chain::Transaction& tx) {
+std::vector<chain::SnarkPrecheck> TaskContract::snark_prechecks(
+    const chain::Transaction& tx) const {
   std::vector<chain::SnarkPrecheck> out;
   if (tx.is_contract_creation()) {
-    if (tx.method() != TaskContract::kContractType) return out;
-    // Deploy: the requester attestation check of on_deploy (anonymous mode).
     const TaskParams params = TaskParams::from_bytes(tx.payload());
-    if (params.auth_mode != AuthMode::kAnonymous) return out;
-    if (tx.value() < params.budget) return out;  // would revert before the proof
-    const auth::Attestation att = auth::Attestation::from_bytes(params.requester_attestation);
-    const chain::Address contract_addr = chain::Address::for_contract(tx.from(), tx.nonce());
-    out.push_back({snark::VerifyingKey::from_bytes(params.auth_vk),
-                   auth::auth_statement(contract_addr.to_bytes(),
-                                        params.requester_address.to_bytes(),
-                                        params.registry_root, att),
-                   att.proof});
+    // A deposit short of the budget reverts before the proof.
+    if (params.auth_mode == AuthMode::kAnonymous && tx.value() >= params.budget) {
+      out.push_back(deploy_check(chain::Address::for_contract(tx.from(), tx.nonce()), params));
+    }
     return out;
   }
-
-  const auto* task = state.contract_as<TaskContract>(tx.to());
-  if (task == nullptr || task->finalized()) return out;
-  const TaskParams& params = task->params();
-  if (tx.method() == "submit" && params.auth_mode == AuthMode::kAnonymous) {
-    if (task->submissions().size() >= params.num_answers) return out;
-    ByteReader r(tx.payload(), "submit args");
-    const auth::Attestation att = auth::Attestation::from_bytes(r.frame(kMaxAttestationBytes));
-    const AnswerCiphertext ct = AnswerCiphertext::from_bytes(r.frame(kMaxCiphertextBytes));
-    const Bytes rest = concat({tx.from().to_bytes(), ct.to_bytes()});
-    out.push_back({task->auth_vk(),
-                   auth::auth_statement(tx.to().to_bytes(), rest, params.registry_root, att),
-                   att.proof});
+  if (finalized_) return out;
+  if (tx.method() == "submit" && params_.auth_mode == AuthMode::kAnonymous &&
+      submissions_.size() < params_.num_answers) {
+    out.push_back(std::move(submit_call(tx.to(), tx.from(), tx.payload()).proof_check));
   } else if (tx.method() == "reward") {
-    ByteReader r(tx.payload(), "reward args");
-    const std::uint32_t count = r.count(kMaxAnswers);
-    if (count != params.num_answers) return out;
-    std::vector<std::uint64_t> rewards;
-    rewards.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) rewards.push_back(r.u64());
-    const snark::Proof proof = snark::Proof::from_bytes(r.frame(kMaxProofBytes));
-    out.push_back({task->reward_vk(),
-                   reward_statement(JubjubPoint::from_bytes(params.epk), task->share(),
-                                    task->padded_ciphertexts(), rewards),
-                   proof});
+    out.push_back(std::move(reward_call(tx.payload()).proof_check));
   }
   return out;
+}
+
+chain::SnarkPrecheck TaskContract::deploy_check(const chain::Address& self,
+                                                const TaskParams& params) {
+  const auth::Attestation att = auth::Attestation::from_bytes(params.requester_attestation);
+  snark::VerifyingKey vk = snark::VerifyingKey::from_bytes(params.auth_vk);
+  return {std::move(vk),
+          auth::auth_statement(self.to_bytes(), params.requester_address.to_bytes(),
+                               params.registry_root, att),
+          att.proof};
 }
 
 void TaskContract::on_deploy(CallContext& ctx, const Bytes& ctor_args) {
@@ -166,14 +153,9 @@ void TaskContract::on_deploy(CallContext& ctx, const Bytes& ctor_args) {
   // alpha_C || alpha_R (anonymous: against the RA registry root; classic:
   // an RSA certificate chain under the RA's master key).
   if (params.auth_mode == AuthMode::kAnonymous) {
-    const auth::Attestation att = auth::Attestation::from_bytes(params.requester_attestation);
-    const snark::VerifyingKey auth_vk = snark::VerifyingKey::from_bytes(params.auth_vk);
-    const std::vector<Fr> statement = auth::auth_statement(
-        ctx.self.to_bytes(), params.requester_address.to_bytes(), params.registry_root, att);
-    if (!ctx.snark_verify(auth_vk, statement, att.proof)) {
-      throw ContractRevert("requester not identified");
-    }
-    auth_vk_ = auth_vk;
+    chain::SnarkPrecheck check = deploy_check(ctx.self, params);
+    if (!verified(ctx, check)) throw ContractRevert("requester not identified");
+    auth_vk_ = std::move(check.vk);
   } else {
     ctx.charge(2 * GasSchedule::kRsaVerify);
     const auto att = auth::ClassicAttestation::from_bytes(params.requester_attestation);
@@ -289,32 +271,41 @@ Bytes TaskContract::encode_reward_args(const std::vector<std::uint64_t>& rewards
   return out;
 }
 
+TaskContract::SubmitCall TaskContract::submit_call(const chain::Address& self,
+                                                   const chain::Address& sender,
+                                                   const Bytes& args) const {
+  SubmitCall call;
+  ByteReader r(args, "submit args");
+  call.attestation_bytes = r.frame(kMaxAttestationBytes);
+  call.ciphertext = AnswerCiphertext::from_bytes(r.frame(kMaxCiphertextBytes));
+  if (!r.at_end()) throw ContractRevert("malformed submission");
+  // The attested message is alpha_C || alpha_i || C_i with alpha_i taken
+  // from the *actual transaction sender*: a copied ciphertext+attestation
+  // replayed from a different address fails verification (footnote 9 — this
+  // is exactly what defeats the free-riding copy attack).
+  call.attested = concat({sender.to_bytes(), call.ciphertext.to_bytes()});
+  if (params_.auth_mode == AuthMode::kAnonymous) {
+    call.attestation = auth::Attestation::from_bytes(call.attestation_bytes);
+    call.proof_check = {auth_vk_,
+                        auth::auth_statement(self.to_bytes(), call.attested,
+                                             params_.registry_root, call.attestation),
+                        call.attestation.proof};
+  }
+  return call;
+}
+
 void TaskContract::handle_submit(CallContext& ctx, const Bytes& args) {
   if (finalized_) throw ContractRevert("task finished");
   if (submissions_.size() >= params_.num_answers) throw ContractRevert("already n answers");
   if (ctx.block_number > collection_deadline()) throw ContractRevert("answering closed");
 
-  ByteReader r(args, "submit args");
-  const Bytes att_bytes = r.frame(kMaxAttestationBytes);
-  const AnswerCiphertext ct = AnswerCiphertext::from_bytes(r.frame(kMaxCiphertextBytes));
-  if (!r.at_end()) throw ContractRevert("malformed submission");
-
-  // The attested message is alpha_C || alpha_i || C_i with alpha_i taken
-  // from the *actual transaction sender*: a copied ciphertext+attestation
-  // replayed from a different address fails verification (footnote 9 — this
-  // is exactly what defeats the free-riding copy attack).
-  const Bytes rest = concat({ctx.sender.to_bytes(), ct.to_bytes()});
-
+  const SubmitCall call = submit_call(ctx.self, ctx.sender, args);
   Submission submission;
   submission.worker_address = ctx.sender;
-  submission.ciphertext = ct;
+  submission.ciphertext = call.ciphertext;
   if (params_.auth_mode == AuthMode::kAnonymous) {
-    const auth::Attestation att = auth::Attestation::from_bytes(att_bytes);
-    const std::vector<Fr> statement =
-        auth::auth_statement(ctx.self.to_bytes(), rest, params_.registry_root, att);
-    if (!ctx.snark_verify(auth_vk_, statement, att.proof)) {
-      throw ContractRevert("attestation invalid");
-    }
+    if (!verified(ctx, call.proof_check)) throw ContractRevert("attestation invalid");
+    const auth::Attestation& att = call.attestation;
     // Link against the requester's attestation (she must not submit to her
     // own task) and every accepted submission (one answer per identity).
     const auth::Attestation requester_att =
@@ -332,8 +323,8 @@ void TaskContract::handle_submit(CallContext& ctx, const Bytes& args) {
     submission.attestation = att;
   } else {
     ctx.charge(2 * GasSchedule::kRsaVerify);
-    const auto att = auth::ClassicAttestation::from_bytes(att_bytes);
-    if (!auth::classic_verify(ctx.self.to_bytes(), rest,
+    const auto att = auth::ClassicAttestation::from_bytes(call.attestation_bytes);
+    if (!auth::classic_verify(ctx.self.to_bytes(), call.attested,
                               RsaPublicKey::from_bytes(params_.classic_mpk), att)) {
       throw ContractRevert("attestation invalid");
     }
@@ -374,36 +365,43 @@ std::vector<AnswerCiphertext> TaskContract::padded_ciphertexts() const {
   return cts;
 }
 
+TaskContract::RewardCall TaskContract::reward_call(const Bytes& args) const {
+  RewardCall call;
+  ByteReader r(args, "reward args");
+  const std::uint32_t count = r.count(kMaxAnswers);
+  if (count != params_.num_answers) throw ContractRevert("wrong instruction arity");
+  call.rewards.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) call.rewards.push_back(r.u64());
+  const snark::Proof proof = snark::Proof::from_bytes(r.frame(kMaxProofBytes));
+  if (!r.at_end()) throw ContractRevert("malformed instruction");
+  call.proof_check = {reward_vk_, reward_statement_for(call.rewards), proof};
+  return call;
+}
+
+std::vector<Fr> TaskContract::reward_statement_for(
+    const std::vector<std::uint64_t>& rewards) const {
+  return reward_statement(JubjubPoint::from_bytes(params_.epk), share(), padded_ciphertexts(),
+                          rewards);
+}
+
 void TaskContract::handle_reward(CallContext& ctx, const Bytes& args) {
   if (finalized_) throw ContractRevert("task finished");
   if (ctx.sender != params_.requester_address) throw ContractRevert("not the requester");
   if (!collection_complete(ctx.block_number)) throw ContractRevert("collection still open");
   if (ctx.block_number > instruction_deadline()) throw ContractRevert("instruction window closed");
 
-  ByteReader r(args, "reward args");
-  const std::uint32_t count = r.count(kMaxAnswers);
-  if (count != params_.num_answers) throw ContractRevert("wrong instruction arity");
-  std::vector<std::uint64_t> rewards;
-  rewards.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) rewards.push_back(r.u64());
-  const snark::Proof proof = snark::Proof::from_bytes(r.frame(kMaxProofBytes));
-  if (!r.at_end()) throw ContractRevert("malformed instruction");
-
+  RewardCall call = reward_call(args);
   // libsnark.Verifier((P, R), pi_reward, PP) — Algorithm 1 line 14.
-  const std::vector<Fr> statement = reward_statement(
-      JubjubPoint::from_bytes(params_.epk), share(), padded_ciphertexts(), rewards);
-  if (!ctx.snark_verify(reward_vk_, statement, proof)) {
-    throw ContractRevert("reward proof invalid");
-  }
+  if (!verified(ctx, call.proof_check)) throw ContractRevert("reward proof invalid");
 
   // Lines 15-17, 21: pay each worker, refund the remainder. The accepted
   // instruction and proof stay in contract state for later batch audits.
   finalized_ = true;
   rewarded_ = true;
-  rewards_ = rewards;
-  reward_proof_ = proof;
+  rewards_ = std::move(call.rewards);
+  reward_proof_ = call.proof_check.proof;
   for (std::size_t i = 0; i < submissions_.size(); ++i) {
-    if (rewards[i] > 0) ctx.transfer(submissions_[i].worker_address, rewards[i]);
+    if (rewards_[i] > 0) ctx.transfer(submissions_[i].worker_address, rewards_[i]);
   }
   ctx.transfer(params_.requester_address, ctx.self_balance());
   ZL_OBS_COUNTER_ADD("task.rewarded", 1);
@@ -415,7 +413,7 @@ void TaskContract::handle_reward(CallContext& ctx, const Bytes& args) {
   if (!params_.reputation_registry.is_zero() && params_.auth_mode == AuthMode::kClassic) {
     for (std::size_t i = 0; i < submissions_.size(); ++i) {
       const Bytes digest = keccak256(submissions_[i].classic_pk);
-      const std::int64_t delta = rewards[i] > 0 ? 1 : -1;
+      const std::int64_t delta = rewards_[i] > 0 ? 1 : -1;
       try {
         ctx.call_contract(params_.reputation_registry, "record",
                           ReputationRegistryContract::encode_record_args(digest, delta));
@@ -427,8 +425,7 @@ void TaskContract::handle_reward(CallContext& ctx, const Bytes& args) {
 }
 
 std::vector<Fr> TaskContract::reward_audit_statement() const {
-  return reward_statement(JubjubPoint::from_bytes(params_.epk), share(), padded_ciphertexts(),
-                          rewards_);
+  return reward_statement_for(rewards_);
 }
 
 std::vector<std::size_t> audit_rewarded_tasks(const chain::ChainState& state,

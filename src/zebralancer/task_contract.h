@@ -20,7 +20,6 @@
 
 #include "auth/cpl_auth.h"
 #include "chain/contract.h"
-#include "chain/validation.h"
 #include "zebralancer/reward_circuit.h"
 
 namespace zl::zebralancer {
@@ -80,6 +79,11 @@ class TaskContract : public chain::Contract {
   void on_deploy(chain::CallContext& ctx, const Bytes& ctor_args) override;
   void invoke(chain::CallContext& ctx, const std::string& method, const Bytes& args) override;
 
+  /// The snark_verify a deploy (asked of a blank instance), submit or reward
+  /// transaction will issue: the same triple its handler verifies, built by
+  /// the same helper. Empty where the handler would revert before the proof.
+  std::vector<chain::SnarkPrecheck> snark_prechecks(const chain::Transaction& tx) const override;
+
   /// Durable-state hooks (chain snapshots / crash recovery).
   std::optional<Bytes> snapshot_state() const override;
   void restore_state(const Bytes& state) override;
@@ -97,9 +101,6 @@ class TaskContract : public chain::Contract {
   const std::vector<std::uint64_t>& rewards() const { return rewards_; }
   const snark::Proof& reward_proof() const { return reward_proof_; }
   const snark::VerifyingKey& reward_vk() const { return reward_vk_; }
-  /// CPL-AA verifying key (valid in anonymous mode; used by the snark
-  /// precheck extractor to verify submissions ahead of sequential apply).
-  const snark::VerifyingKey& auth_vk() const { return auth_vk_; }
   /// Ciphertext list padded with the deterministic ⊥ placeholder to n (the
   /// reward statement is built over exactly n ciphertexts).
   std::vector<AnswerCiphertext> padded_ciphertexts() const;
@@ -127,6 +128,32 @@ class TaskContract : public chain::Contract {
                                   const snark::Proof& proof);
 
  private:
+  /// A submit call's args, decoded once. `attested` is alpha_i || C_i, the
+  /// message the attestation signs after alpha_C. In anonymous mode
+  /// `attestation` is the decoded CPL-AA attestation and `proof_check` the
+  /// snark_verify that checks it.
+  struct SubmitCall {
+    Bytes attestation_bytes;  // serialized attestation of the task's auth_mode
+    AnswerCiphertext ciphertext;
+    Bytes attested;
+    auth::Attestation attestation;
+    chain::SnarkPrecheck proof_check;
+  };
+  /// A reward call's args, decoded once: the instruction and the
+  /// snark_verify of pi_reward over the current submissions.
+  struct RewardCall {
+    std::vector<std::uint64_t> rewards;
+    chain::SnarkPrecheck proof_check;
+  };
+
+  /// pi_R over alpha_C || alpha_R for a task deployed at `self` (anonymous
+  /// mode only).
+  static chain::SnarkPrecheck deploy_check(const chain::Address& self, const TaskParams& params);
+  SubmitCall submit_call(const chain::Address& self, const chain::Address& sender,
+                         const Bytes& args) const;
+  RewardCall reward_call(const Bytes& args) const;
+  std::vector<Fr> reward_statement_for(const std::vector<std::uint64_t>& rewards) const;
+
   void handle_submit(chain::CallContext& ctx, const Bytes& args);
   void handle_reward(chain::CallContext& ctx, const Bytes& args);
   void handle_finalize(chain::CallContext& ctx);
@@ -150,14 +177,5 @@ class TaskContract : public chain::Contract {
 /// rewarded task contract also fails. Empty result = every payout proven.
 std::vector<std::size_t> audit_rewarded_tasks(const chain::ChainState& state,
                                               const std::vector<chain::Address>& addresses);
-
-/// Snark-precheck extractor for the parallel validation pipeline
-/// (chain/validation.h): given a transaction and the state it will apply on,
-/// reproduces the snark_verify call a task deploy / submit / reward would
-/// issue, so block prevalidation can verify the proof in a parallel batch
-/// before sequential apply. Best-effort and read-only; registered by
-/// TaskContract::register_type(). Exposed for direct testing.
-std::vector<chain::SnarkPrecheck> task_snark_prechecks(const chain::ChainState& state,
-                                                       const chain::Transaction& tx);
 
 }  // namespace zl::zebralancer

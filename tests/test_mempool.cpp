@@ -9,7 +9,9 @@
 // tools/check_all.sh.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <thread>
 
 #include "chain/mempool.h"
@@ -521,10 +523,25 @@ TEST(ParallelValidation, PrevalidationWarmsSignatureCache) {
 
   set_parallel_validation(true);
   clear_validation_caches();
-  EXPECT_EQ(signature_verdict_cache_size(), 0u);
+  EXPECT_EQ(signature_memo().size(), 0u);
   ChainState state = state_of(genesis);
   prevalidate_block(state, txs);
-  EXPECT_EQ(signature_verdict_cache_size(), txs.size());
+  EXPECT_EQ(signature_memo().size(), txs.size());
+}
+
+TEST(ParallelValidation, SnarkMemoResetsAtItsCap) {
+  // One key past the cap must not grow the memo past it: a process that
+  // keeps verifying fresh proofs holds at most kMaxEntries verdicts.
+  VerdictMemo& memo = snark_memo();
+  memo.clear();
+  Hash32 key{};
+  for (std::size_t i = 0; i <= VerdictMemo::kMaxEntries; ++i) {
+    std::memcpy(key.data(), &i, sizeof(i));
+    memo.insert(key, true);
+  }
+  EXPECT_LE(memo.size(), VerdictMemo::kMaxEntries);
+  EXPECT_EQ(memo.find(key), std::optional<bool>(true));
+  memo.clear();
 }
 
 // Two independent chains validating the same workload concurrently: the

@@ -3,13 +3,15 @@
 // These tests pin what that may and may not change: an unfunded answer
 // simply never lands, a reward proved at once still pays by worker when a
 // competing block reorders the answers (the contract keeps submissions in
-// a canonical order), a task takes a bounded number of blocks, and one
-// block of answers to one task prepares the task's auth key once.
+// a canonical order), a task takes a bounded number of blocks, one block
+// of answers to one task prepares the task's auth key once, and a replay
+// of the task finds every proof the contract checks already verified.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
+#include "chain/validation.h"
 #include "obs/obs.h"
 #include "zebralancer/scenario.h"
 
@@ -345,6 +347,22 @@ TEST_F(ElevenAnswerTask, AnswerBlockPreparesAuthKeyOnce) {
   const zl::obs::Snapshot snap = zl::obs::snapshot();
   EXPECT_EQ(snap.counter("validation.snark_precheck.items"), kN);
   EXPECT_EQ(snap.counter("snark.prepare_key"), 1u);
+
+  // Replay the whole task, through the reward block, into a cold replica:
+  // every proof the contract checks (the deploy, the kN submits and the
+  // reward) was warmed by prevalidation under the same key the handler
+  // looks up, so the precheck and the handler verify the same triple.
+  ASSERT_TRUE(reward_block.has_value());
+  chain::clear_validation_caches();
+  zl::obs::reset();
+  chain::Blockchain full_replay(chain.genesis_config());
+  for (std::uint64_t n = 1; n <= *reward_block; ++n) {
+    ASSERT_TRUE(full_replay.add_block(*chain.block_by_hash(canonical[n])));
+  }
+  const zl::obs::Snapshot replay = zl::obs::snapshot();
+  EXPECT_EQ(replay.counter("validation.snark_precheck.items"), kN + 2);
+  EXPECT_EQ(replay.counter("validation.snark_cache.hit"), kN + 2);
+  EXPECT_EQ(replay.counter("validation.snark_cache.miss"), 0u);
 }
 
 }  // namespace

@@ -51,6 +51,15 @@
 #             gossip; fails on any throw, reverted reward instruction or
 #             misattributed payment. Minutes long (about 200 s of wall time
 #             on 4 cores), so not in tier-1 ctest and not in the default matrix
+#   perfbench - the frozen benchmark as a build-and-output check: runs
+#             `python3 perfbench/run.py --workload W --seed 1 --seconds 12
+#             --trace 1` for W = task_lifecycle, marketplace, chain_sync
+#             (run.py builds its own tree under .bench_build/) and fails
+#             unless each run's last line reads "correct": true and
+#             "failed": 0. perfbench/ subclasses chain::Contract and calls
+#             the validation API, so this catches a compile or output break
+#             there before a benchmark run does. About two minutes of wall
+#             time plus the build; not in the default matrix
 #
 # Usage: tools/check_all.sh [leg ...] [-- ctest args...]
 #   tools/check_all.sh                 # default matrix: lint circuit-audit asan ubsan tsan
@@ -67,8 +76,8 @@ legs=""
 while [ "$#" -gt 0 ]; do
   case "$1" in
     --) shift; break ;;
-    lint|asan|ubsan|tsan|ctcheck|store|circuit-audit|kernels|scale|obs|threadsafety|fuzz|reorg) legs="$legs $1"; shift ;;
-    *) echo "check_all: unknown leg '$1' (expected lint|asan|ubsan|tsan|ctcheck|store|circuit-audit|kernels|scale|obs|threadsafety|fuzz|reorg)" >&2; exit 2 ;;
+    lint|asan|ubsan|tsan|ctcheck|store|circuit-audit|kernels|scale|obs|threadsafety|fuzz|reorg|perfbench) legs="$legs $1"; shift ;;
+    *) echo "check_all: unknown leg '$1' (expected lint|asan|ubsan|tsan|ctcheck|store|circuit-audit|kernels|scale|obs|threadsafety|fuzz|reorg|perfbench)" >&2; exit 2 ;;
   esac
 done
 [ -n "$legs" ] || legs="lint circuit-audit asan ubsan tsan"
@@ -286,6 +295,25 @@ run_reorg() {
   "$build_dir/tools/reorg_sweep/reorg_sweep"
 }
 
+# Perfbench leg: each workload once, traced. run.py exits non-zero on a
+# failed output check; the result line is checked here as well, so a run
+# that reports failed operations or correct=false fails the leg either way.
+run_perfbench() {
+  for workload in task_lifecycle marketplace chain_sync; do
+    echo "---- perfbench: $workload ----"
+    out=$(cd "$repo_root" && python3 perfbench/run.py --workload "$workload" \
+      --seed 1 --seconds 12 --trace 1) || { printf '%s\n' "$out"; return 1; }
+    printf '%s\n' "$out" | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+print("correct=%s attempted=%s failed=%s"
+      % (result["correct"], result["attempted"], result["failed"]))
+if result["correct"] is not True or result["failed"] != 0:
+    sys.exit("FAIL: perfbench result not correct or has failed operations")
+' || return 1
+  done
+}
+
 # $1 = leg name, $2 = extra cmake cache args, remaining = ctest args.
 run_suite() {
   leg="$1"; cache="$2"; shift 2
@@ -330,6 +358,8 @@ for leg in $legs; do
       run_fuzz || status=$? ;;
     reorg)
       run_reorg || status=$? ;;
+    perfbench)
+      run_perfbench || status=$? ;;
   esac
   if [ "$status" -ne 0 ]; then
     echo "==== check_all: $leg FAILED ====" >&2
