@@ -33,6 +33,7 @@
 #include "ec/glv.h"
 #include "ec/multiexp.h"
 #include "oracle/ecdsa_oracle.h"
+#include "oracle/multiexp_oracle.h"
 #include "snark/domain.h"
 
 using namespace zl;
@@ -171,7 +172,8 @@ int main() {
       const std::vector<Fr> ks(scalars.begin(), scalars.begin() + n);
       const int reps = log_n <= 12 ? 5 : 3;
       G1 expect, got;
-      const double textbook_s = median_seconds(reps, [&] { expect = multiexp_textbook(pts, ks); });
+      const double textbook_s =
+          median_seconds(reps, [&] { expect = oracle::multiexp_textbook(pts, ks); });
       const double kernel_s = median_seconds(reps, [&] { got = multiexp(pts, ks); });
       if (!(expect == got)) {
         std::fprintf(stderr, "FATAL: multiexp kernel disagrees with textbook at n=%zu\n", n);

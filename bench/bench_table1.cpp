@@ -270,6 +270,49 @@ int main() {
     }
   }
 
+  // --- Auth prover: one CPL-AA proof, serial vs parallel -----------------
+  // Registry depth 8, the depth of the §VI lifecycle benchmark: the proof
+  // every worker computes per submission. Same key and proving seed at both
+  // widths, so the proof bytes must match.
+  struct AuthPass {
+    double prove_s;
+    Bytes proof_bytes;
+  };
+  constexpr unsigned kAuthDepth = 8;
+  constexpr int kAuthReps = 7;
+  std::fprintf(stderr, "[auth] setting up depth-%u auth SNARK...\n", kAuthDepth);
+  Rng auth_rng(515151);
+  const auth::AuthParams auth_params = auth::auth_setup(kAuthDepth, auth_rng);
+  auth::RegistrationAuthority auth_ra(kAuthDepth);
+  const auth::UserKey auth_user = auth::UserKey::generate(auth_rng);
+  const auth::Certificate auth_cert = auth_ra.register_identity("bench-user", auth_user.pk);
+  const auto run_auth = [&](unsigned threads) {
+    set_num_threads(threads);
+    AuthPass p{};
+    std::vector<double> samples;
+    for (int i = 0; i < kAuthReps; ++i) {
+      Rng r(626262);
+      const auto t0 = Clock::now();
+      const auth::Attestation att =
+          auth::authenticate(auth_params, to_bytes("bench-task-address"), to_bytes("bench-rest"),
+                             auth_user, auth_cert, auth_ra.registry_root(), r);
+      samples.push_back(std::chrono::duration<double>(Clock::now() - t0).count());
+      p.proof_bytes = att.proof.to_bytes();
+    }
+    std::sort(samples.begin(), samples.end());
+    p.prove_s = samples[samples.size() / 2];
+    return p;
+  };
+  std::fprintf(stderr, "[auth] serial and %u-thread proofs...\n", parallel_threads);
+  const AuthPass auth_serial = run_auth(1);
+  const AuthPass auth_parallel = run_auth(parallel_threads);
+  const bool identical_auth_proofs = auth_serial.proof_bytes == auth_parallel.proof_bytes;
+  std::printf("\nAUTH PROVE — CPL-AA, registry depth %u, median of %d (seconds)\n", kAuthDepth,
+              kAuthReps);
+  print_phase("prove", auth_serial.prove_s, auth_parallel.prove_s);
+  std::printf("threads=%u  identical_proofs=%s\n", parallel_threads,
+              identical_auth_proofs ? "true" : "false");
+
   // --- Pairing engine: textbook vs fast vs prepared (single-threaded) -----
   std::fprintf(stderr, "[pairing] single-threaded engine comparison...\n");
   set_num_threads(1);
@@ -354,10 +397,13 @@ int main() {
                  "  \"pairing_speedup\": %.3f,\n"
                  "  \"prepared_pairing_speedup\": %.3f,\n"
                  "  \"identical_keys\": %s,\n"
-                 "  \"identical_proofs\": %s,\n",
+                 "  \"identical_proofs\": %s,\n"
+                 "  \"auth_prove_s\": {\"depth\": %u, \"serial\": %.6f, \"threads\": %u, "
+                 "\"parallel\": %.6f, \"identical_proofs\": %s},\n",
                  pairing_textbook_s, pairing_s, prepared_pairing_s,
                  pairing_speedup, prepared_pairing_speedup, identical_keys ? "true" : "false",
-                 identical_proofs ? "true" : "false");
+                 identical_proofs ? "true" : "false", kAuthDepth, auth_serial.prove_s,
+                 parallel_threads, auth_parallel.prove_s, identical_auth_proofs ? "true" : "false");
     // Span totals + counters accumulated across every pass above: where the
     // prover's wall time actually went (empty maps when ZL_OBS=OFF).
     std::fprintf(f, "  \"obs\": %s\n}\n", zl::obs::snapshot().to_json("  ").c_str());

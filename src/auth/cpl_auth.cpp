@@ -119,10 +119,11 @@ Attestation authenticate(const AuthParams& params, const Bytes& prefix, const By
 
   snark::CircuitBuilder b;
   build_auth_circuit(b, params.merkle_depth, att.t1, att.t2, p, m, root, key.sk, cert.path);
-  if (!b.constraint_system().is_satisfied(b.assignment())) {
+  try {
+    att.proof = snark::prove(params.keys.pk, b.constraint_system(), b.assignment(), rng);
+  } catch (const std::invalid_argument&) {
     throw std::invalid_argument("authenticate: certificate does not match registry root");
   }
-  att.proof = snark::prove(params.keys.pk, b.constraint_system(), b.assignment(), rng);
   return att;
 }
 

@@ -27,8 +27,8 @@
 // bookkeeping. Cross-thread progress signals (`shutdown_`,
 // `job_generation_`, `busy_workers_`, chunk counters) are atomics so the
 // condition-variable predicates touch no guarded state; the job descriptor
-// itself (`job_fn_`, `job_chunks_`, `job_active_`, `job_error_`,
-// `workers_`) is ZL_GUARDED_BY(mutex_) and only ever read under it —
+// itself (`job_fn_`, `job_chunks_`, `job_slots_`, `job_active_`,
+// `job_error_`, `workers_`) is ZL_GUARDED_BY(mutex_) and only ever read under it —
 // workers snapshot the descriptor while locked and chew through chunks via
 // the snapshot, never through the guarded fields.
 
@@ -105,6 +105,7 @@ class ThreadPool {
       ensure_workers_locked(threads - 1);
       job_fn_ = &fn;
       job_chunks_ = num_chunks;
+      job_slots_ = threads - 1;
       next_chunk_.store(0, std::memory_order_relaxed);
       pending_chunks_.store(num_chunks, std::memory_order_relaxed);
       job_error_ = nullptr;
@@ -181,7 +182,10 @@ class ThreadPool {
       });
       if (shutdown_.load(std::memory_order_relaxed)) return;
       seen = job_generation_.load(std::memory_order_relaxed);
-      if (!job_active_) continue;
+      // Workers spawned for a wider earlier region sit this one out: a
+      // region runs on at most num_threads() threads, caller included.
+      if (!job_active_ || job_slots_ == 0) continue;
+      --job_slots_;
       const std::function<void(std::size_t)>* fn = job_fn_;
       const std::size_t chunks = job_chunks_;
       busy_workers_.fetch_add(1, std::memory_order_relaxed);
@@ -231,6 +235,7 @@ class ThreadPool {
   std::vector<std::thread> workers_ ZL_GUARDED_BY(mutex_);
   const std::function<void(std::size_t)>* job_fn_ ZL_GUARDED_BY(mutex_) = nullptr;
   std::size_t job_chunks_ ZL_GUARDED_BY(mutex_) = 0;
+  unsigned job_slots_ ZL_GUARDED_BY(mutex_) = 0;  // workers the job may still take
   bool job_active_ ZL_GUARDED_BY(mutex_) = false;
   std::exception_ptr job_error_ ZL_GUARDED_BY(mutex_);
 

@@ -41,6 +41,15 @@ struct GlvDecomposition {
   BigInt k2;
 };
 
+/// The same split in fixed width, for BN254 G1/G2 scalars: magnitudes below
+/// 2^128 with their signs apart, k = ±k1 ± k2*lambda (mod r).
+struct GlvSplit {
+  unsigned __int128 k1 = 0;
+  unsigned __int128 k2 = 0;
+  bool k1_neg = false;
+  bool k2_neg = false;
+};
+
 namespace detail {
 
 /// Short lattice basis v1 = (a1, b1), v2 = (a2, b2) for the group order r;
@@ -92,6 +101,25 @@ GlvLattice glv_lattice(const BigInt& lambda, const BigInt& r);
 /// Babai rounding of k against the basis (no taint guard: callers guard).
 GlvDecomposition glv_decompose_lattice(const BigInt& k, const GlvLattice& lat);
 
+/// The lattice in 4-limb form for scalars below 2^254: the basis as
+/// two's-complement residues mod 2^256, and the Babai coefficients
+/// c = round(k*b2/det), round(-k*b1/det) replaced by multipliers
+/// g = round(2^256*b/det), so that c = ±((k*|g| + 2^255) >> 256). The
+/// multiplier rounds c by at most one more, which keeps |k1|, |k2| below
+/// 2^128 on BN254 (checked per split).
+struct GlvLimbLattice {
+  Limbs a1, b1, a2, b2;
+  Limbs g1, g2;
+  bool g1_neg, g2_neg;
+};
+
+GlvLimbLattice glv_limb_lattice(const GlvLattice& lat);
+
+/// Babai rounding of a canonical k < 2^254 in fixed-width limb arithmetic
+/// (no taint guard: callers guard). Throws std::logic_error if a half-scalar
+/// reaches 2^128, which the BN254 lattices never produce.
+GlvSplit glv_split_limbs(const Limbs& k, const GlvLimbLattice& lat);
+
 /// Per-group constants: the field-embedded endomorphism scale and the
 /// matching eigenvalue + lattice, derived and verified on the generator.
 template <typename Point>
@@ -133,6 +161,12 @@ const GlvCurve<Point>& glv_curve() {
   return c;
 }
 
+template <typename Point>
+const GlvLimbLattice& glv_limb_curve() {
+  static const GlvLimbLattice lat = glv_limb_lattice(glv_curve<Point>().lattice);
+  return lat;
+}
+
 }  // namespace detail
 
 /// phi(P): one coordinate-field multiplication instead of a full ladder.
@@ -152,6 +186,17 @@ GlvDecomposition glv_decompose(const BigInt& k) {
              "glv_decompose: the decomposition and joint ladder are variable-time in the "
              "scalar — use mul_blinded for secret scalars");
   return detail::glv_decompose_lattice(k, detail::glv_curve<Point>().lattice);
+}
+
+/// Fixed-width Babai split of an Fr scalar for the BN254 groups: four-limb
+/// products, no BigInt. Same lattice and guard as glv_decompose (the split
+/// may differ from it by one lattice vector; both recombine to k).
+template <typename Point>
+GlvSplit glv_split(const Fr& k) {
+  ct::branch(&k, sizeof(k),
+             "glv_split: the decomposition and the multiexp digits are variable-time in the "
+             "scalar — use mul_blinded for secret scalars");
+  return detail::glv_split_limbs(k.to_limbs(), detail::glv_limb_curve<Point>());
 }
 
 /// Variable-time scalar multiplication via the endomorphism split. PUBLIC

@@ -5,35 +5,43 @@
 // the number of circuit variables/constraints, so this is the performance-
 // critical primitive of the whole proving pipeline.
 //
-// Two engines live here (DESIGN.md §11):
+// The engine (DESIGN.md §11): signed-digit windows (digits in
+// [-2^(c-1), 2^(c-1)], so half the buckets), batch-affine bucket
+// accumulation (buckets stay affine; each conflict-free pass resolves its
+// additions with ONE field inversion via Montgomery's trick), and a GLV
+// front-end that splits every scalar into two half-width scalars against the
+// endomorphism image, halving the window count. Bases arrive as GlvBase
+// values — affine, with the image's x coordinate beside them — so a proving
+// key built once at setup is never normalized or mapped again; scalars are
+// split by fixed-width Babai rounding (glv_split) and the half-scalar signs
+// fold into the digits.
 //
-//   multiexp_textbook — the original Jacobian bucket method, kept verbatim
-//     as the bit-equality oracle (tests and bench_kernels call it directly).
-//   multiexp          — the kernel engine: signed-digit windows (digits in
-//     [-2^(c-1), 2^(c-1)], so half the buckets), batch-affine bucket
-//     accumulation (buckets stay affine; each conflict-free pass resolves
-//     its additions with ONE field inversion via Montgomery's trick), and a
-//     GLV front-end that splits every scalar into two half-width scalars
-//     against the endomorphism image, halving the window count.
+// Group addition is exact, so the engine computes the same group element
+// for any bucketing, split or order; serialization normalizes to affine,
+// hence byte outputs are identical to the textbook oracle in
+// tests/oracle/multiexp_oracle.h (pinned by tests/test_ec.cpp and
+// test_snark.cpp).
 //
-// Group addition is exact, so both engines compute the same group element
-// for any bucketing/order; serialization normalizes to affine, hence byte
-// outputs are identical (pinned by tests/test_ec.cpp and test_snark.cpp).
+// Parallelism: a multiexp is a MultiexpJob, and its pool tasks are its
+// windows. run_multiexp_jobs runs the windows of several jobs — the five
+// Groth16 queries of one proof, G1 and G2 alike — as one pool region, each
+// task a full bucket pass over all of its job's points for one window. Each
+// job then merges its window sums high-to-low with one Horner pass of
+// doublings, so the result does not depend on which thread ran what.
+// ZL_THREADS=1 runs the same tasks in order on the caller.
 //
-// Parallelism: the scalar range is split into chunks; each worker runs the
-// bucket method over its slice, producing one partial sum per window, and
-// the caller merges partials in (chunk, window) order with a single Horner
-// pass of doublings. ZL_THREADS=1 takes the one-chunk path, which IS the
-// serial algorithm.
-//
-// Scalars are decomposed once up front, windows cover only the significant
-// bits, and zero scalars never touch a bucket — sparse witness vectors are
-// common in our circuits.
+// Windows cover only the significant bits of the split scalars, and zero
+// digits never touch a bucket — sparse witness vectors are common in our
+// circuits.
 
 #include <algorithm>
-#include <cmath>
+#include <atomic>
+#include <bit>
 #include <cstdint>
+#include <ctime>
+#include <initializer_list>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -43,47 +51,86 @@
 
 namespace zl {
 
-namespace detail {
+/// A multiexp base in the engine's form: the affine point and beta*x, the x
+/// coordinate of its endomorphism image phi(P) = (beta*x, y).
+template <typename Point>
+struct GlvBase {
+  typename Point::Field x{};
+  typename Point::Field y{};
+  typename Point::Field endo_x{};
+  bool infinity = true;
 
-/// The c-bit window digit of a canonical little-endian limb array starting
-/// at bit position `pos`.
-inline std::uint32_t window_digit(const Limbs& limbs, unsigned pos, unsigned c) {
-  const unsigned limb = pos / 64, off = pos % 64;
-  std::uint64_t v = limbs[limb] >> off;
-  if (off + c > 64 && limb + 1 < limbs.size()) v |= limbs[limb + 1] << (64 - off);
-  return static_cast<std::uint32_t>(v & ((std::uint64_t{1} << c) - 1));
-}
+  Point point() const { return infinity ? Point::infinity() : Point::from_affine_unchecked(x, y); }
+};
 
-/// Signed-digit decomposition: window digits re-centred into
-/// [-2^(c-1), 2^(c-1)] with carry propagation. Negative digits reuse the
-/// positive buckets with a negated point, halving the bucket count.
-inline void signed_digits(const Limbs& limbs, unsigned windows, unsigned c, std::int32_t* out) {
-  const std::int64_t half = std::int64_t{1} << (c - 1);
-  std::int64_t carry = 0;
-  for (unsigned w = 0; w < windows; ++w) {
-    const unsigned pos = w * c;
-    std::int64_t d = carry;
-    if (pos < 256) d += window_digit(limbs, pos, c);
-    if (d > half) {
-      d -= std::int64_t{1} << c;
-      carry = 1;
-    } else {
-      carry = 0;
-    }
-    out[w] = static_cast<std::int32_t>(d);
+/// Writes glv-form bases for `points` to out[0 .. points.size()), with one
+/// field inversion for the whole range.
+template <typename Point>
+void write_glv_bases(const std::vector<Point>& points, GlvBase<Point>* out) {
+  const auto& scale = detail::glv_curve<Point>().endo_scale;
+  const std::vector<typename Point::Affine> affine = Point::normalize(points);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto& a = affine[i];
+    out[i] = a.infinity ? GlvBase<Point>{} : GlvBase<Point>{a.x, a.y, scale * a.x, false};
   }
-  // No carry can escape: the caller sizes `windows` with one guard window
-  // past the scalar's top bit, whose raw digit is 0, so d <= 1 <= half there.
 }
 
-/// |v| as little-endian limbs. v must fit in 256 bits.
-inline Limbs limbs_from_bigint_abs(const BigInt& v) {
-  Limbs out{0, 0, 0, 0};
-  const BigInt a = abs(v);
-  std::size_t count = 0;
-  mpz_export(out.data(), &count, -1, sizeof(std::uint64_t), 0, 0, a.get_mpz_t());
+template <typename Point>
+std::vector<GlvBase<Point>> glv_bases(const std::vector<Point>& points) {
+  std::vector<GlvBase<Point>> out(points.size());
+  parallel_for_range(points.size(), [&](std::size_t begin, std::size_t end) {
+    write_glv_bases(std::vector<Point>(points.begin() + static_cast<std::ptrdiff_t>(begin),
+                                       points.begin() + static_cast<std::ptrdiff_t>(end)),
+                    out.data() + begin);
+  });
   return out;
 }
+
+/// Thread CPU time summed over pool tasks. Reads 0 when obs is compiled
+/// out: it feeds only the prover's per-query counters.
+class TaskCpuTime {
+ public:
+  /// Adds this thread's CPU time over its lifetime to the total.
+  class Scope {
+   public:
+    explicit Scope(TaskCpuTime& total) : total_(total), start_(now()) {}
+    ~Scope() {
+      if (ZL_OBS_ENABLED) total_.ns_.fetch_add(now() - start_, std::memory_order_relaxed);
+    }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    static std::uint64_t now() {
+      if (!ZL_OBS_ENABLED) return 0;
+      timespec ts{};
+      clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+      return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
+             static_cast<std::uint64_t>(ts.tv_nsec);
+    }
+    TaskCpuTime& total_;
+    std::uint64_t start_;
+  };
+
+  std::uint64_t ns() const { return ns_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<std::uint64_t> ns_{0};
+};
+
+/// Splits every scalar for the engine (parallel), adding the CPU time spent
+/// to `cpu`.
+template <typename Point>
+std::vector<GlvSplit> glv_split_all(const std::vector<Fr>& scalars, TaskCpuTime& cpu) {
+  std::vector<GlvSplit> out(scalars.size());
+  parallel_for_range(scalars.size(), [&](std::size_t begin, std::size_t end) {
+    const TaskCpuTime::Scope timer(cpu);
+    for (std::size_t i = begin; i < end; ++i) out[i] = glv_split<Point>(scalars[i]);
+  });
+  return out;
+}
+
+namespace detail {
 
 /// In-place batch inversion (Montgomery's trick): one inverse() amortized
 /// over the whole vector. All entries must be nonzero.
@@ -102,12 +149,6 @@ void batch_invert_field(std::vector<Field>& xs, std::vector<Field>& prefix) {
     inv *= xs[i];
     xs[i] = xi;
   }
-}
-
-template <typename Field>
-void batch_invert_field(std::vector<Field>& xs) {
-  std::vector<Field> prefix;
-  batch_invert_field(xs, prefix);
 }
 
 /// Pippenger window size for n points and `scalar_bits`-bit scalars, chosen
@@ -131,273 +172,254 @@ inline unsigned kernel_window_bits(std::size_t n, unsigned scalar_bits) {
   return best_c;
 }
 
-/// Core of the kernel engine: sum_i k[i] * pts[i] over sign-adjusted affine
-/// points and magnitude scalars of at most `scalar_bits` bits.
+/// Window w of the signed-digit (Booth) recoding of a magnitude below 2^128:
+/// the window's c bits, plus the top bit of the window below, minus 2^c
+/// when the window's own top bit is set (the carry the window above takes
+/// in). Digits lie in [-2^(c-1), 2^(c-1)] and depend on c + 1 bits only, so
+/// every window reads its digit straight from the split scalar.
+inline std::int32_t booth_digit(unsigned __int128 k, unsigned w, unsigned c) {
+  const unsigned pos = w * c;
+  std::uint64_t v = 0;  // bit 0: carry in; bits 1..c: the window
+  if (pos == 0) {
+    v = static_cast<std::uint64_t>(k) << 1;
+  } else if (pos - 1 < 128) {
+    v = static_cast<std::uint64_t>(k >> (pos - 1));
+  }
+  v &= (std::uint64_t{2} << c) - 1;
+  const auto raw = static_cast<std::int32_t>(v >> 1);
+  return raw + static_cast<std::int32_t>(v & 1) - ((raw >> (c - 1)) << c);
+}
+
+inline unsigned bit_length(unsigned __int128 k) {
+  const auto hi = static_cast<std::uint64_t>(k >> 64);
+  if (hi != 0) return 64 + static_cast<unsigned>(std::bit_width(hi));
+  return static_cast<unsigned>(std::bit_width(static_cast<std::uint64_t>(k)));
+}
+
+/// n < 8: the plain per-point ladder beats any bucket schedule.
 template <typename Point>
-Point multiexp_core(const std::vector<typename Point::Affine>& pts, const std::vector<Limbs>& k,
-                    unsigned scalar_bits) {
-  using Field = typename Point::Field;
-  using Affine = typename Point::Affine;
-  const std::size_t n = pts.size();
-  // Size the windows by the number of pairs that actually reach a bucket:
-  // query vectors are padded with infinities (and witness scalars are often
-  // zero), and an overestimate of n inflates the bucket count.
-  std::size_t active = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    active += static_cast<std::size_t>(!pts[i].infinity && k[i] != Limbs{0, 0, 0, 0});
+Point multiexp_ladder(const std::vector<Point>& points, const std::vector<Fr>& scalars) {
+  Point acc = Point::infinity();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (!scalars[i].is_zero()) acc += points[i] * scalars[i].to_bigint();
   }
-  if (active == 0) return Point::infinity();
-  const unsigned c = kernel_window_bits(active, scalar_bits);
-  const unsigned windows = scalar_bits / c + 1;  // +1 guard window for the signed carry
-  const std::size_t bucket_count = std::size_t{1} << (c - 1);
-
-  // Signed digits for every (scalar, window) pair, decomposed once.
-  std::vector<std::int32_t> digs(n * windows);
-  parallel_for(n, [&](std::size_t i) { signed_digits(k[i], windows, c, &digs[i * windows]); });
-
-  const std::size_t max_chunks = static_cast<std::size_t>(num_threads());
-  std::size_t chunks = n / 512;
-  if (chunks < 1) chunks = 1;
-  if (chunks > max_chunks) chunks = max_chunks;
-
-  // Conflict-free rounds by construction: items are counting-sorted into
-  // per-bucket groups, and round t consumes the t-th item of every bucket
-  // that still has one. Each item is touched exactly once (O(n) scheduling),
-  // and each round pays a single inversion for all its additions.
-  struct Job {
-    std::uint32_t bucket;
-    std::uint32_t idx;
-    bool neg;
-    bool dbl;
-  };
-
-  std::vector<std::vector<Point>> partial(chunks);
-  ThreadPool::instance().run(chunks, [&](std::size_t t) {
-    const auto [begin, end] = chunk_range(n, chunks, t);
-    std::vector<Point>& sums = partial[t];
-    sums.assign(windows, Point::infinity());
-    std::vector<Affine> buckets(bucket_count);
-    std::vector<std::uint32_t> cur(bucket_count), bend(bucket_count);
-    std::vector<std::uint32_t> sorted;  // (idx << 1) | neg, grouped by bucket
-    std::vector<std::uint32_t> active, next_active;
-    std::vector<Job> jobs;
-    std::vector<Field> dens, inv_scratch;
-    for (unsigned w = 0; w < windows; ++w) {
-      std::fill(buckets.begin(), buckets.end(), Affine{});
-      std::fill(bend.begin(), bend.end(), 0);
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::int32_t d = digs[i * windows + w];
-        if (d == 0 || pts[i].infinity) continue;
-        const std::uint32_t mag = static_cast<std::uint32_t>(d < 0 ? -d : d);
-        ++bend[mag - 1];  // bucket occupancy count, turned into end offsets below
-      }
-      std::uint32_t total = 0;
-      active.clear();
-      for (std::size_t b = 0; b < bucket_count; ++b) {
-        cur[b] = total;
-        total += bend[b];
-        bend[b] = total;
-        if (cur[b] != total) active.push_back(static_cast<std::uint32_t>(b));
-      }
-      sorted.resize(total);
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::int32_t d = digs[i * windows + w];
-        if (d == 0 || pts[i].infinity) continue;
-        const std::uint32_t mag = static_cast<std::uint32_t>(d < 0 ? -d : d);
-        sorted[cur[mag - 1]++] = (static_cast<std::uint32_t>(i) << 1) |
-                                 static_cast<std::uint32_t>(d < 0);
-      }
-      for (std::size_t b = bucket_count; b-- > 0;) {
-        cur[b] = b == 0 ? 0 : bend[b - 1];  // rewind cursors to group starts
-      }
-      while (!active.empty()) {
-        jobs.clear();
-        dens.clear();
-        next_active.clear();
-        for (const std::uint32_t bkt : active) {
-          const std::uint32_t enc = sorted[cur[bkt]++];
-          if (cur[bkt] < bend[bkt]) next_active.push_back(bkt);
-          const std::uint32_t i = enc >> 1;
-          const bool neg = (enc & 1) != 0;
-          Affine& b = buckets[bkt];
-          const Field& qx = pts[i].x;
-          const Field qy = neg ? -pts[i].y : pts[i].y;
-          if (b.infinity) {
-            b = Affine{qx, qy, false};  // first hit: direct set, no addition
-            continue;
-          }
-          if (b.x == qx) {
-            if (b.y == qy) {
-              if (b.y.is_zero()) {
-                b = Affine{};  // order-2 point; total-ness over speed
-                continue;
-              }
-              jobs.push_back(Job{bkt, i, neg, true});
-              dens.push_back(b.y.dbl());
-            } else {
-              b = Affine{};  // P + (-P)
-            }
-            continue;
-          }
-          jobs.push_back(Job{bkt, i, neg, false});
-          dens.push_back(qx - b.x);
-        }
-        batch_invert_field(dens, inv_scratch);
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-          Affine& b = buckets[jobs[j].bucket];
-          const Field& inv = dens[j];
-          Field lam, x3;
-          if (jobs[j].dbl) {
-            const Field xx = b.x.squared();
-            lam = (xx + xx + xx) * inv;  // 3x^2 / 2y
-            x3 = lam.squared() - b.x.dbl();
-          } else {
-            const Affine& q = pts[jobs[j].idx];
-            const Field qy = jobs[j].neg ? -q.y : q.y;
-            lam = (qy - b.y) * inv;  // (y2 - y1) / (x2 - x1)
-            x3 = lam.squared() - b.x - q.x;
-          }
-          b.y = lam * (b.x - x3) - b.y;
-          b.x = x3;
-        }
-        active.swap(next_active);
-      }
-      // Sum m * B_m via running suffix sums; buckets[b] holds magnitude b+1.
-      Point running = Point::infinity();
-      Point window_sum = Point::infinity();
-      for (std::size_t b = bucket_count; b-- > 0;) {
-        running = running.add_mixed(buckets[b]);
-        window_sum += running;
-      }
-      sums[w] = window_sum;
-    }
-  });
-
-  // Deterministic merge: windows high-to-low (Horner), chunks in order.
-  Point result = Point::infinity();
-  for (unsigned w = windows; w-- > 0;) {
-    for (unsigned bit = 0; bit < c; ++bit) result = result.dbl();
-    for (std::size_t t = 0; t < chunks; ++t) result += partial[t][w];
-  }
-  return result;
+  return acc;
 }
 
 }  // namespace detail
 
-/// The original Jacobian bucket method, kept as the bit-equality oracle for
-/// the kernel engine (and the plain ladder behind multiexp for n < 8).
+/// The window tasks of one multiexp, as run_multiexp_jobs sees them: the
+/// region mixes G1 and G2 jobs.
+class WindowedJob {
+ public:
+  virtual unsigned windows() const = 0;
+  virtual void run_window(unsigned w) = 0;
+
+ protected:
+  ~WindowedJob() = default;
+};
+
+/// One multiexp sum_i k_i * P_i over glv-form bases and split scalars. The
+/// constructor sizes the windows; run_multiexp_jobs fills one window sum per
+/// task; result() merges them.
 template <typename Point>
-Point multiexp_textbook(const std::vector<Point>& points, const std::vector<Fr>& scalars) {
-  if (points.size() != scalars.size()) {
-    throw std::invalid_argument("multiexp: size mismatch");
+class MultiexpJob final : public WindowedJob {
+ public:
+  /// bases[i] pairs with split[i]; both must outlive the job.
+  MultiexpJob(const std::vector<GlvBase<Point>>& bases, const GlvSplit* split)
+      : bases_(bases), split_(split) {
+    if (bases_.size() >= (std::size_t{1} << 30)) {
+      throw std::length_error("multiexp: too many points");  // entries pack i into 30 bits
+    }
+    // Only pairs that can reach a bucket are listed and counted: query
+    // vectors are padded with infinities, witness scalars are often zero,
+    // and sizing the windows on the raw length would overshoot.
+    std::size_t active = 0;
+    unsigned bits = 0;
+    for (std::size_t i = 0; i < bases_.size(); ++i) {
+      if (bases_[i].infinity) continue;
+      const unsigned b1 = detail::bit_length(split_[i].k1);
+      const unsigned b2 = detail::bit_length(split_[i].k2);
+      if (b1 == 0 && b2 == 0) continue;
+      live_.push_back(static_cast<std::uint32_t>(i));
+      active += static_cast<std::size_t>(b1 != 0) + static_cast<std::size_t>(b2 != 0);
+      bits = std::max({bits, b1, b2});
+    }
+    if (active == 0) return;
+    c_ = detail::kernel_window_bits(active, bits);
+    sums_.assign(bits / c_ + 1, Point::infinity());  // +1 guard window: the top carry
   }
-  const std::size_t n = points.size();
-  if (n == 0) return Point::infinity();
-  if (n < 8) {
+
+  unsigned windows() const override { return static_cast<unsigned>(sums_.size()); }
+
+  void run_window(unsigned w) override;
+
+  /// Horner merge of the window sums, high to low.
+  Point result() const {
     Point acc = Point::infinity();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!scalars[i].is_zero()) acc += points[i] * scalars[i].to_bigint();
+    for (std::size_t w = sums_.size(); w-- > 0;) {
+      for (unsigned bit = 0; bit < c_; ++bit) acc = acc.dbl();
+      acc += sums_[w];
     }
     return acc;
   }
 
-  // Window size ~ log2(n) is the classic Pippenger choice; the window count
-  // is derived from the field (254 bits for Fr), not a hardcoded 256.
-  const unsigned c = n < 32 ? 3 : static_cast<unsigned>(std::log2(static_cast<double>(n))) - 1;
-  const unsigned scalar_bits = Fr::kModulusBits;
-  const unsigned windows = (scalar_bits + c - 1) / c;
+  /// CPU time of this job's window tasks.
+  const TaskCpuTime& cpu() const { return cpu_; }
 
-  // Decompose every scalar into canonical limbs exactly once.
-  std::vector<Limbs> digits(n);
-  parallel_for(n, [&](std::size_t i) { digits[i] = scalars[i].to_limbs(); });
-  const auto is_zero_scalar = [&](std::size_t i) {
-    return digits[i] == Limbs{0, 0, 0, 0};
-  };
+ private:
+  const std::vector<GlvBase<Point>>& bases_;
+  const GlvSplit* split_;
+  std::vector<std::uint32_t> live_;  // i with P_i finite and k_i != 0
+  unsigned c_ = 0;
+  std::vector<Point> sums_;
+  TaskCpuTime cpu_;
+};
 
-  // Per-chunk partial window sums. Keep chunks coarse: each one walks all
-  // windows over its slice with a private bucket array.
-  const std::size_t max_chunks = static_cast<std::size_t>(num_threads());
-  std::size_t chunks = n / 512;
-  if (chunks < 1) chunks = 1;
-  if (chunks > max_chunks) chunks = max_chunks;
-
-  std::vector<std::vector<Point>> partial(chunks);
-  ThreadPool::instance().run(chunks, [&](std::size_t t) {
-    const auto [begin, end] = chunk_range(n, chunks, t);
-    std::vector<Point>& sums = partial[t];
-    sums.assign(windows, Point::infinity());
-    std::vector<Point> buckets(static_cast<std::size_t>(1) << c);
-    for (unsigned w = 0; w < windows; ++w) {
-      std::fill(buckets.begin(), buckets.end(), Point::infinity());
-      for (std::size_t i = begin; i < end; ++i) {
-        if (is_zero_scalar(i)) continue;
-        const std::uint32_t v = detail::window_digit(digits[i], w * c, c);
-        if (v != 0) buckets[v] += points[i];
-      }
-      // Sum b_1 + 2 b_2 + ... via running suffix sums.
-      Point running = Point::infinity();
-      Point window_sum = Point::infinity();
-      for (std::size_t b = buckets.size(); b-- > 1;) {
-        running += buckets[b];
-        window_sum += running;
-      }
-      sums[w] = window_sum;
-    }
-  });
-
-  // Deterministic merge: windows high-to-low (Horner), chunks in order.
-  Point result = Point::infinity();
-  for (unsigned w = windows; w-- > 0;) {
-    for (unsigned bit = 0; bit < c; ++bit) result = result.dbl();
-    for (std::size_t t = 0; t < chunks; ++t) result += partial[t][w];
+/// Runs every window of every job as one pool region, in the given job
+/// order: list the costliest jobs first so no long task starts last.
+inline void run_multiexp_jobs(std::initializer_list<WindowedJob*> jobs) {
+  std::vector<std::pair<WindowedJob*, unsigned>> tasks;
+  for (WindowedJob* job : jobs) {
+    for (unsigned w = 0; w < job->windows(); ++w) tasks.emplace_back(job, w);
   }
-  return result;
+  ThreadPool::instance().run(tasks.size(),
+                             [&](std::size_t t) { tasks[t].first->run_window(tasks[t].second); });
 }
 
-namespace detail {
-
-/// GLV kernel engine (G1 and G2): split every scalar into two half-width
-/// magnitudes against the base point and its endomorphism image. Twice the
-/// points at half the windows — the windowed doubling chain halves outright.
 template <typename Point>
-Point multiexp_kernel_glv(const std::vector<Point>& points, const std::vector<Fr>& scalars) {
+void MultiexpJob<Point>::run_window(unsigned w) {
+  using Field = typename Point::Field;
   using Affine = typename Point::Affine;
-  const std::size_t n = points.size();
-  const std::vector<Affine> base = Point::normalize(points);
-  const typename Point::Field& scale = glv_curve<Point>().endo_scale;
-  std::vector<Affine> pts(2 * n);
-  std::vector<Limbs> k(2 * n);
-  std::vector<unsigned> bits(n);
-  parallel_for(n, [&](std::size_t i) {
-    const GlvDecomposition d = glv_decompose<Point>(scalars[i].to_bigint());
-    k[2 * i] = limbs_from_bigint_abs(d.k1);
-    k[2 * i + 1] = limbs_from_bigint_abs(d.k2);
-    const std::size_t b1 = d.k1 == 0 ? 0 : mpz_sizeinbase(d.k1.get_mpz_t(), 2);
-    const std::size_t b2 = d.k2 == 0 ? 0 : mpz_sizeinbase(d.k2.get_mpz_t(), 2);
-    bits[i] = static_cast<unsigned>(std::max(b1, b2));
-    if (!base[i].infinity) {
-      pts[2 * i] = Affine{base[i].x, d.k1 < 0 ? -base[i].y : base[i].y, false};
-      pts[2 * i + 1] = Affine{scale * base[i].x, d.k2 < 0 ? -base[i].y : base[i].y, false};
+  const TaskCpuTime::Scope timer(cpu_);
+  const std::size_t bucket_count = std::size_t{1} << (c_ - 1);
+  // Each base i contributes two entries, k1*P_i (h = 0) and k2*phi(P_i)
+  // (h = 1). A digit's sign and its half-scalar's sign fold into one
+  // negation flag.
+  std::vector<std::uint32_t> cur(bucket_count), bend(bucket_count, 0);
+  for (const std::uint32_t i : live_) {
+    for (unsigned h = 0; h < 2; ++h) {
+      const std::int32_t d = detail::booth_digit(h == 0 ? split_[i].k1 : split_[i].k2, w, c_);
+      if (d != 0) ++bend[static_cast<std::uint32_t>(d < 0 ? -d : d) - 1];
     }
-  });
-  const unsigned scalar_bits = *std::max_element(bits.begin(), bits.end());
-  if (scalar_bits == 0) return Point::infinity();
-  return multiexp_core<Point>(pts, k, scalar_bits);
+  }
+  // Counting sort into per-bucket groups, then conflict-free rounds: round t
+  // consumes the t-th entry of every bucket that still has one. Each entry
+  // is touched exactly once, and each round pays a single inversion for all
+  // of its additions.
+  std::uint32_t total = 0;
+  std::vector<std::uint32_t> active, next_active;
+  for (std::size_t b = 0; b < bucket_count; ++b) {
+    cur[b] = total;
+    total += bend[b];
+    bend[b] = total;
+    if (cur[b] != total) active.push_back(static_cast<std::uint32_t>(b));
+  }
+  std::vector<std::uint32_t> sorted(total);  // (i << 2) | (h << 1) | neg
+  for (const std::uint32_t i : live_) {
+    for (unsigned h = 0; h < 2; ++h) {
+      const GlvSplit& s = split_[i];
+      const std::int32_t d = detail::booth_digit(h == 0 ? s.k1 : s.k2, w, c_);
+      if (d == 0) continue;
+      const bool neg = (d < 0) != (h == 0 ? s.k1_neg : s.k2_neg);
+      sorted[cur[static_cast<std::uint32_t>(d < 0 ? -d : d) - 1]++] =
+          (i << 2) | (h << 1) | static_cast<std::uint32_t>(neg);
+    }
+  }
+  for (std::size_t b = bucket_count; b-- > 0;) {
+    cur[b] = b == 0 ? 0 : bend[b - 1];  // rewind cursors to group starts
+  }
+
+  struct Pending {
+    std::uint32_t bucket;
+    std::uint32_t entry;
+    bool dbl;
+  };
+  const auto x_of = [&](std::uint32_t entry) -> const Field& {
+    const GlvBase<Point>& p = bases_[entry >> 2];
+    return (entry & 2) != 0 ? p.endo_x : p.x;
+  };
+  const auto y_of = [&](std::uint32_t entry) {
+    const Field& y = bases_[entry >> 2].y;
+    return (entry & 1) != 0 ? -y : y;
+  };
+  std::vector<Affine> buckets(bucket_count);
+  std::vector<Pending> pending;
+  std::vector<Field> dens, inv_scratch;
+  while (!active.empty()) {
+    pending.clear();
+    dens.clear();
+    next_active.clear();
+    for (const std::uint32_t bkt : active) {
+      const std::uint32_t entry = sorted[cur[bkt]++];
+      if (cur[bkt] < bend[bkt]) next_active.push_back(bkt);
+      Affine& b = buckets[bkt];
+      const Field& qx = x_of(entry);
+      const Field qy = y_of(entry);
+      if (b.infinity) {
+        b = Affine{qx, qy, false};  // first hit: direct set, no addition
+        continue;
+      }
+      if (b.x == qx) {
+        if (b.y == qy) {
+          if (b.y.is_zero()) {
+            b = Affine{};  // order-2 point; total-ness over speed
+            continue;
+          }
+          pending.push_back(Pending{bkt, entry, true});
+          dens.push_back(b.y.dbl());
+        } else {
+          b = Affine{};  // P + (-P)
+        }
+        continue;
+      }
+      pending.push_back(Pending{bkt, entry, false});
+      dens.push_back(qx - b.x);
+    }
+    detail::batch_invert_field(dens, inv_scratch);
+    for (std::size_t j = 0; j < pending.size(); ++j) {
+      Affine& b = buckets[pending[j].bucket];
+      const Field& inv = dens[j];
+      Field lam, x3;
+      if (pending[j].dbl) {
+        const Field xx = b.x.squared();
+        lam = (xx + xx + xx) * inv;  // 3x^2 / 2y
+        x3 = lam.squared() - b.x.dbl();
+      } else {
+        const Field& qx = x_of(pending[j].entry);
+        lam = (y_of(pending[j].entry) - b.y) * inv;  // (y2 - y1) / (x2 - x1)
+        x3 = lam.squared() - b.x - qx;
+      }
+      b.y = lam * (b.x - x3) - b.y;
+      b.x = x3;
+    }
+    active.swap(next_active);
+  }
+  // Sum m * B_m via running suffix sums; buckets[b] holds magnitude b+1.
+  Point running = Point::infinity();
+  Point window_sum = Point::infinity();
+  for (std::size_t b = bucket_count; b-- > 0;) {
+    running = running.add_mixed(buckets[b]);
+    window_sum += running;
+  }
+  sums_[w] = window_sum;
 }
 
-}  // namespace detail
-
-/// Computes sum_i scalars[i] * points[i] over G1 or G2. Scalars are Fr
-/// elements. Routes to the GLV kernel engine; tiny inputs take the textbook
-/// plain ladder.
+/// Computes sum_i scalars[i] * points[i] over G1 or G2: one MultiexpJob over
+/// freshly converted bases. Tiny inputs take the plain ladder.
 template <typename Point>
 Point multiexp(const std::vector<Point>& points, const std::vector<Fr>& scalars) {
   if (points.size() != scalars.size()) {
     throw std::invalid_argument("multiexp: size mismatch");
   }
   ZL_TRACE_SPAN("prover.multiexp");
-  if (points.size() < 8) return multiexp_textbook(points, scalars);
-  return detail::multiexp_kernel_glv(points, scalars);
+  if (points.size() < 8) return detail::multiexp_ladder(points, scalars);
+  const std::vector<GlvBase<Point>> bases = glv_bases(points);
+  TaskCpuTime prep;
+  const std::vector<GlvSplit> split = glv_split_all<Point>(scalars, prep);
+  MultiexpJob<Point> job(bases, split.data());
+  run_multiexp_jobs({&job});
+  return job.result();
 }
 
 }  // namespace zl

@@ -1,5 +1,6 @@
 #include "snark/groth16.h"
 
+#include <atomic>
 #include <map>
 #include <stdexcept>
 
@@ -81,20 +82,29 @@ QapEvaluation evaluate_qap_at(const ConstraintSystem& cs, const Fr& tau) {
 }
 
 /// Coefficients of the quotient H(x) = (A(x)B(x) - C(x)) / Z(x) via coset
-/// FFTs, where A/B/C are the assignment-weighted QAP polynomials.
+/// FFTs, where A/B/C are the assignment-weighted QAP polynomials. The
+/// constraint evaluations double as the satisfaction check: an assignment
+/// with a_j * b_j != c_j for some constraint j throws before any FFT.
 std::vector<Fr> compute_h(const ConstraintSystem& cs, const std::vector<Fr>& z,
                           std::size_t domain_size) {
   ZL_TRACE_SPAN("prover.compute_h");
+  const auto unsatisfied = [] {
+    return std::invalid_argument("groth16::prove: assignment does not satisfy the constraints");
+  };
+  if (z.size() != cs.num_variables || z.empty() || z[0] != Fr::one()) throw unsatisfied();
   const EvaluationDomain domain(domain_size);
   std::vector<Fr> a_evals(domain.size(), Fr::zero());
   std::vector<Fr> b_evals(domain.size(), Fr::zero());
   std::vector<Fr> c_evals(domain.size(), Fr::zero());
+  std::atomic<bool> satisfied{true};
   parallel_for(cs.constraints.size(), [&](std::size_t j) {
     const Constraint& con = cs.constraints[j];
     a_evals[j] = con.a.evaluate(z);
     b_evals[j] = con.b.evaluate(z);
     c_evals[j] = con.c.evaluate(z);
+    if (a_evals[j] * b_evals[j] != c_evals[j]) satisfied.store(false, std::memory_order_relaxed);
   });
+  if (!satisfied.load(std::memory_order_relaxed)) throw unsatisfied();
   for (std::size_t i = 0; i <= cs.num_inputs; ++i) {
     a_evals[cs.constraints.size() + i] = z[i];
   }
@@ -115,6 +125,22 @@ std::vector<Fr> compute_h(const ConstraintSystem& cs, const std::vector<Fr>& z,
   // deg H = domain_size - 2, so the top coefficient must vanish.
   h.pop_back();
   return h;
+}
+
+/// One proving-key query in the multiexp engine's form: the fixed-base
+/// products point_at(i) for i < n, each chunk normalized with one inversion.
+template <typename Point, typename PointAt>
+std::vector<GlvBase<Point>> key_query(std::size_t n, PointAt&& point_at) {
+  std::vector<GlvBase<Point>> out(n);
+  parallel_for_range(
+      n,
+      [&](std::size_t begin, std::size_t end) {
+        std::vector<Point> points(end - begin);
+        for (std::size_t i = begin; i < end; ++i) points[i - begin] = point_at(i);
+        write_glv_bases(points, out.data() + begin);
+      },
+      /*min_grain=*/16);
+  return out;
 }
 
 }  // namespace
@@ -162,40 +188,27 @@ Keypair setup(const ConstraintSystem& cs, Rng& rng) {
 
   // The m-sized fixed-base exponentiation loops below are the setup's hot
   // path; every slot is independent, so they run on the thread pool.
-  pk.a_query.resize(m);
-  pk.b_g1_query.resize(m);
-  pk.b_g2_query.resize(m);
-  parallel_for(
-      m,
-      [&](std::size_t i) {
-        pk.a_query[i] = g1_table.mul(qap.at[i]);
-        pk.b_g1_query[i] = g1_table.mul(qap.bt[i]);
-        pk.b_g2_query[i] = g2_table.mul(qap.bt[i]);
-      },
-      /*min_grain=*/16);
+  pk.a_query = key_query<G1>(m, [&](std::size_t i) { return g1_table.mul(qap.at[i]); });
+  pk.b_g1_query = key_query<G1>(m, [&](std::size_t i) { return g1_table.mul(qap.bt[i]); });
+  pk.b_g2_query = key_query<G2>(m, [&](std::size_t i) { return g2_table.mul(qap.bt[i]); });
 
+  const auto combined = [&](std::size_t i) {
+    return beta * qap.at[i] + alpha * qap.bt[i] + qap.ct[i];
+  };
   vk.ic.resize(cs.num_inputs + 1);
-  pk.l_query.resize(m - cs.num_inputs - 1);
-  parallel_for(
-      m,
-      [&](std::size_t i) {
-        const Fr combined = beta * qap.at[i] + alpha * qap.bt[i] + qap.ct[i];
-        if (i <= cs.num_inputs) {
-          vk.ic[i] = g1_table.mul(combined * gamma_inv);
-        } else {
-          pk.l_query[i - cs.num_inputs - 1] = g1_table.mul(combined * delta_inv);
-        }
-      },
-      /*min_grain=*/16);
+  for (std::size_t i = 0; i <= cs.num_inputs; ++i) {
+    vk.ic[i] = g1_table.mul(combined(i) * gamma_inv);
+  }
+  pk.l_query = key_query<G1>(m - cs.num_inputs - 1, [&](std::size_t i) {
+    return g1_table.mul(combined(cs.num_inputs + 1 + i) * delta_inv);
+  });
 
   // h_query[i] = [tau^i * Z(tau) / delta]_1 for i = 0 .. domain_size - 2.
   const std::vector<Fr> tau_powers = power_table(tau, qap.domain_size - 1);
   const Fr z_over_delta = qap.zt * delta_inv;
-  pk.h_query.resize(qap.domain_size - 1);
-  parallel_for(
-      qap.domain_size - 1,
-      [&](std::size_t i) { pk.h_query[i] = g1_table.mul(tau_powers[i] * z_over_delta); },
-      /*min_grain=*/16);
+  pk.h_query = key_query<G1>(qap.domain_size - 1, [&](std::size_t i) {
+    return g1_table.mul(tau_powers[i] * z_over_delta);
+  });
 
   vk.alpha_g1 = pk.alpha_g1;
   vk.beta_g2 = pk.beta_g2;
@@ -209,20 +222,43 @@ Proof prove(const ProvingKey& pk, const ConstraintSystem& cs, const std::vector<
             Rng& rng) {
   ZL_TRACE_SPAN("prover.prove");
   ZL_OBS_COUNTER_ADD("prover.prove.count", 1);
-  if (!cs.is_satisfied(assignment)) {
-    throw std::invalid_argument("groth16::prove: assignment does not satisfy the constraints");
+  const std::size_t m = cs.num_variables;
+  if (pk.a_query.size() != m || pk.b_g1_query.size() != m || pk.b_g2_query.size() != m ||
+      pk.l_query.size() + cs.num_inputs + 1 != m || pk.h_query.size() + 1 != pk.domain_size) {
+    throw std::invalid_argument("groth16::prove: proving key does not match the constraints");
   }
   const std::vector<Fr> h = compute_h(cs, assignment, pk.domain_size);
 
   const Fr r = Fr::random(rng), s = Fr::random(rng);
 
-  const G1 a_acc = multiexp(pk.a_query, assignment);
-  const G1 b1_acc = multiexp(pk.b_g1_query, assignment);
-  const G2 b2_acc = multiexp(pk.b_g2_query, assignment);
-  const std::vector<Fr> witness(assignment.begin() + static_cast<std::ptrdiff_t>(cs.num_inputs) + 1,
-                                assignment.end());
-  const G1 l_acc = multiexp(pk.l_query, witness);
-  const G1 h_acc = multiexp(pk.h_query, h);
+  // The five multiexps run as one pool region of (query, window) tasks. The
+  // assignment is split once per group; l reads its witness suffix.
+  G1 a_acc, b1_acc, l_acc, h_acc;
+  G2 b2_acc;
+  {
+    ZL_TRACE_SPAN("prover.multiexp");
+    TaskCpuTime prep;
+    const std::vector<GlvSplit> z1 = glv_split_all<G1>(assignment, prep);
+    const std::vector<GlvSplit> z2 = glv_split_all<G2>(assignment, prep);
+    const std::vector<GlvSplit> h1 = glv_split_all<G1>(h, prep);
+    MultiexpJob<G1> a(pk.a_query, z1.data());
+    MultiexpJob<G1> b1(pk.b_g1_query, z1.data());
+    MultiexpJob<G2> b2(pk.b_g2_query, z2.data());
+    MultiexpJob<G1> l(pk.l_query, z1.data() + cs.num_inputs + 1);
+    MultiexpJob<G1> hq(pk.h_query, h1.data());
+    run_multiexp_jobs({&b2, &a, &b1, &l, &hq});  // G2 windows are the longest tasks
+    a_acc = a.result();
+    b1_acc = b1.result();
+    b2_acc = b2.result();
+    l_acc = l.result();
+    h_acc = hq.result();
+    ZL_OBS_COUNTER_ADD("prover.msm.prep_ns", prep.ns());
+    ZL_OBS_COUNTER_ADD("prover.msm.a.cpu_ns", a.cpu().ns());
+    ZL_OBS_COUNTER_ADD("prover.msm.b1.cpu_ns", b1.cpu().ns());
+    ZL_OBS_COUNTER_ADD("prover.msm.b2.cpu_ns", b2.cpu().ns());
+    ZL_OBS_COUNTER_ADD("prover.msm.l.cpu_ns", l.cpu().ns());
+    ZL_OBS_COUNTER_ADD("prover.msm.h.cpu_ns", hq.cpu().ns());
+  }
 
   Proof proof;
   proof.a = pk.alpha_g1 + a_acc + pk.delta_g1 * r;

@@ -10,6 +10,7 @@
 
 #include <optional>
 
+#include "ec/multiexp.h"
 #include "ec/pairing.h"
 #include "snark/domain.h"
 #include "snark/r1cs.h"
@@ -46,14 +47,17 @@ struct VerifyingKey {
   std::size_t byte_size() const { return 65 + 3 * 129 + 4 + ic.size() * 65; }
 };
 
+/// The queries are stored in the multiexp engine's form (affine, with the
+/// GLV endomorphism image's x beside each point), so a proof never
+/// normalizes or maps a key point.
 struct ProvingKey {
   G1 alpha_g1, beta_g1, delta_g1;
   G2 beta_g2, delta_g2;
-  std::vector<G1> a_query;     // [A_i(tau)]_1, one per variable
-  std::vector<G1> b_g1_query;  // [B_i(tau)]_1
-  std::vector<G2> b_g2_query;  // [B_i(tau)]_2
-  std::vector<G1> l_query;     // [(beta A_i + alpha B_i + C_i)/delta]_1, witnesses only
-  std::vector<G1> h_query;     // [tau^i Z(tau)/delta]_1
+  std::vector<GlvBase<G1>> a_query;     // [A_i(tau)]_1, one per variable
+  std::vector<GlvBase<G1>> b_g1_query;  // [B_i(tau)]_1
+  std::vector<GlvBase<G2>> b_g2_query;  // [B_i(tau)]_2
+  std::vector<GlvBase<G1>> l_query;     // [(beta A_i + alpha B_i + C_i)/delta]_1, witnesses only
+  std::vector<GlvBase<G1>> h_query;     // [tau^i Z(tau)/delta]_1
   std::size_t domain_size = 0;
   std::size_t num_inputs = 0;
 };
@@ -83,7 +87,9 @@ struct Keypair {
 Keypair setup(const ConstraintSystem& cs, Rng& rng);
 
 /// Produce a proof for `assignment` (full vector, assignment[0] == 1).
-/// Throws std::invalid_argument if the assignment does not satisfy `cs`.
+/// Throws std::invalid_argument if the assignment does not satisfy `cs`:
+/// the check rides on the constraint evaluations the quotient needs anyway,
+/// so callers need no satisfaction pass of their own.
 Proof prove(const ProvingKey& pk, const ConstraintSystem& cs, const std::vector<Fr>& assignment,
             Rng& rng);
 

@@ -112,10 +112,11 @@ RewardInstruction prove_rewards(const snark::ProvingKey& pk, const RewardCircuit
       reward_statement(enc_key.epk, share, ciphertexts, out.rewards);
   CircuitBuilder b;
   build_reward_circuit(b, spec, statement, enc_key.esk);
-  if (!b.constraint_system().is_satisfied(b.assignment())) {
+  try {
+    out.proof = snark::prove(pk, b.constraint_system(), b.assignment(), rng);
+  } catch (const std::invalid_argument&) {
     throw std::invalid_argument("prove_rewards: inconsistent witness (wrong esk for epk?)");
   }
-  out.proof = snark::prove(pk, b.constraint_system(), b.assignment(), rng);
   return out;
 }
 

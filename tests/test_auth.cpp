@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "auth/cpl_auth.h"
+#include "common/thread_pool.h"
+#include "crypto/keccak.h"
 
 namespace zl::auth {
 namespace {
@@ -56,6 +58,25 @@ TEST_F(CplAuthTest, Correctness) {
   const Attestation att =
       authenticate(*params, prefix, rest, *w0, *cert0, ra->registry_root(), *rng);
   EXPECT_TRUE(verify(*params, prefix, rest, ra->registry_root(), att));
+}
+
+// The prover's window tasks may run on any thread in any order; the proof
+// bytes must not depend on it. The digest was recorded from the engine that
+// split points into per-thread chunks and normalized the key on every proof.
+TEST_F(CplAuthTest, ProofBytesIdenticalAcrossPoolWidths) {
+  const unsigned saved = num_threads();
+  const Bytes prefix = to_bytes("task-contract-address-0xabc");
+  const Bytes rest = to_bytes("worker-address||ciphertext");
+  for (const unsigned width : {1u, 2u, 3u, 4u}) {
+    set_num_threads(width);
+    Rng prove_rng(777);
+    const Attestation att =
+        authenticate(*params, prefix, rest, *w0, *cert0, ra->registry_root(), prove_rng);
+    EXPECT_EQ(to_hex(keccak256(att.proof.to_bytes())),
+              "01dceffe29c317c2335fa44213f67cb52be23598d8391bbd5468cc1232e1c322")
+        << "width=" << width;
+  }
+  set_num_threads(saved);
 }
 
 TEST_F(CplAuthTest, VerificationBindsEveryStatementComponent) {

@@ -3,12 +3,17 @@
 // against the naive sum.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "common/ct.h"
+#include "common/thread_pool.h"
 #include "ec/babyjubjub.h"
 #include "ec/glv.h"
 #include "ec/multiexp.h"
 #include "ec/pairing.h"
 #include "ec/secp256k1.h"
 #include "ec/serialize.h"
+#include "oracle/multiexp_oracle.h"
 
 namespace zl {
 namespace {
@@ -173,6 +178,68 @@ TEST(Glv, DecompositionRecombinesAndIsShort) {
   }
 }
 
+// The fixed-width split the multiexp engine uses: recombines to k mod r on
+// both groups, over random scalars and the lattice's edges, and stays within
+// the Babai bound |k1| < |a1| + |a2|, |k2| < |b1| + |b2| (each rounded
+// coefficient is off by less than one), which is below 2^128 < 2^130.
+template <typename Point>
+void check_glv_limb_split(std::uint64_t seed) {
+  const BigInt& r = Fr::modulus_bigint();
+  const auto& curve = detail::glv_curve<Point>();
+  const detail::GlvLattice& lat = curve.lattice;
+  const BigInt bound1 = abs(lat.a1) + abs(lat.a2), bound2 = abs(lat.b1) + abs(lat.b2);
+  ASSERT_LT(bound1, BigInt(1) << 128);
+  ASSERT_LT(bound2, BigInt(1) << 128);
+  const Fr lam = Fr::from_bigint(curve.lambda);
+  const Fr two64 = Fr::from_bigint(BigInt(1) << 64);
+  const auto to_fr = [&](unsigned __int128 v, bool neg) {
+    const Fr mag = Fr::from_u64(static_cast<std::uint64_t>(v >> 64)) * two64 +
+                   Fr::from_u64(static_cast<std::uint64_t>(v));
+    return neg ? -mag : mag;
+  };
+  const auto to_bigint = [](unsigned __int128 v) -> BigInt {
+    return (BigInt(static_cast<unsigned long>(v >> 64)) << 64) +
+           BigInt(static_cast<unsigned long>(static_cast<std::uint64_t>(v)));
+  };
+  std::vector<Fr> ks;
+  for (const BigInt& edge : {BigInt(0), BigInt(1), BigInt(r - 1), curve.lambda,
+                             BigInt(curve.lambda * curve.lambda % r), BigInt(BigInt(1) << 128),
+                             BigInt(BigInt(1) << 253)}) {
+    ks.push_back(Fr::from_bigint(edge));
+  }
+  // Full-width pseudo-random scalars from an affine recurrence over Fr: one
+  // multiply each, where a DRBG draw per scalar would dominate the test.
+  Rng rng(seed);
+  Fr x = Fr::random(rng);
+  const Fr mult = Fr::random(rng);
+  for (int i = 0; i < 100'000; ++i) {
+    x = x * mult + Fr::one();
+    ks.push_back(x);
+  }
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    const GlvSplit d = glv_split<Point>(ks[i]);
+    ASSERT_EQ(to_fr(d.k1, d.k1_neg) + to_fr(d.k2, d.k2_neg) * lam, ks[i]) << "scalar #" << i;
+    ASSERT_LT(to_bigint(d.k1), bound1) << "scalar #" << i;
+    ASSERT_LT(to_bigint(d.k2), bound2) << "scalar #" << i;
+  }
+}
+
+TEST(Glv, LimbSplitRecombinesAndIsShortOnG1) { check_glv_limb_split<G1>(92); }
+TEST(Glv, LimbSplitRecombinesAndIsShortOnG2) { check_glv_limb_split<G2>(93); }
+
+// The split is variable-time in the scalar, like glv_decompose: a poisoned
+// scalar must trip the guard before any limb arithmetic.
+TEST(Glv, LimbSplitOnSecretScalarAborts) {
+  EXPECT_DEATH(
+      {
+        ct::enable();
+        const Fr k = Fr::from_u64(1311768467294899695u);
+        ct::poison_object(k);
+        (void)glv_split<G1>(k);
+      },
+      "variable-time");
+}
+
 template <typename Point>
 void check_glv_mul(std::uint64_t seed) {
   Rng rng(seed);
@@ -237,9 +304,9 @@ void check_kernel_vs_textbook(std::uint64_t seed) {
       points.push_back(p);
       scalars.push_back(s);
     }
-    const Point oracle = multiexp_textbook(points, scalars);
+    const Point expected = oracle::multiexp_textbook(points, scalars);
     const Point kernel = multiexp(points, scalars);
-    EXPECT_EQ(kernel, oracle) << "n=" << n;
+    EXPECT_EQ(kernel, expected) << "n=" << n;
   }
 }
 
@@ -255,8 +322,85 @@ TEST(Multiexp, KernelAndTextbookBytesIdentical) {
     scalars.push_back(Fr::random(rng));
   }
   const Bytes kernel = g1_to_bytes(multiexp(points, scalars));
-  const Bytes oracle = g1_to_bytes(multiexp_textbook(points, scalars));
-  EXPECT_EQ(kernel, oracle);
+  const Bytes expected = g1_to_bytes(oracle::multiexp_textbook(points, scalars));
+  EXPECT_EQ(kernel, expected);
+}
+
+class PoolWidthGuard {
+ public:
+  PoolWidthGuard() : saved_(num_threads()) {}
+  ~PoolWidthGuard() { set_num_threads(saved_); }
+
+ private:
+  unsigned saved_;
+};
+
+// Adversarial inputs for one job: infinities, zero / one / -1 scalars,
+// duplicated points and full-width scalars, on an addition chain so large n
+// stays cheap to build.
+template <typename Point>
+void make_job_inputs(Rng& rng, std::size_t n, std::vector<Point>& points,
+                     std::vector<Fr>& scalars) {
+  const Point step = Point::generator() * (1 + rng.uniform(1 << 20));
+  Point p = Point::generator() * (1 + rng.uniform(1 << 20));
+  for (std::size_t i = 0; i < n; ++i, p = p + step) {
+    Point q = p;
+    if (i % 7 == 3) q = Point::infinity();
+    if (i % 5 == 4) q = points[i - 1];
+    Fr s = Fr::random(rng);
+    if (i % 11 == 0) s = Fr::zero();
+    if (i % 11 == 1) s = Fr::one();
+    if (i % 11 == 2) s = -Fr::one();
+    points.push_back(q);
+    scalars.push_back(s);
+  }
+}
+
+// A mixed G1 + G2 batch of jobs run as one pool region equals the textbook
+// oracle job for job, at every pool width.
+TEST(Multiexp, BatchedJobsMatchOracleAtEveryWidth) {
+  PoolWidthGuard guard;
+  Rng rng(66);
+  const std::vector<std::size_t> sizes = {0, 1, 7, 8, 9, 513, 4096};
+  std::vector<std::vector<G1>> p1(sizes.size());
+  std::vector<std::vector<G2>> p2(sizes.size());
+  std::vector<std::vector<Fr>> s1(sizes.size()), s2(sizes.size());
+  std::vector<G1> want1;
+  std::vector<G2> want2;
+  for (std::size_t j = 0; j < sizes.size(); ++j) {
+    make_job_inputs(rng, sizes[j], p1[j], s1[j]);
+    make_job_inputs(rng, sizes[j], p2[j], s2[j]);
+    want1.push_back(oracle::multiexp_textbook(p1[j], s1[j]));
+    want2.push_back(oracle::multiexp_textbook(p2[j], s2[j]));
+  }
+  for (const unsigned width : {1u, 2u, 3u, 4u}) {
+    set_num_threads(width);
+    std::vector<std::vector<GlvBase<G1>>> b1;
+    std::vector<std::vector<GlvBase<G2>>> b2;
+    std::vector<std::vector<GlvSplit>> k1, k2;
+    TaskCpuTime prep;
+    for (std::size_t j = 0; j < sizes.size(); ++j) {
+      b1.push_back(glv_bases(p1[j]));
+      b2.push_back(glv_bases(p2[j]));
+      k1.push_back(glv_split_all<G1>(s1[j], prep));
+      k2.push_back(glv_split_all<G2>(s2[j], prep));
+    }
+    std::vector<std::unique_ptr<MultiexpJob<G1>>> jobs1;
+    std::vector<std::unique_ptr<MultiexpJob<G2>>> jobs2;
+    for (std::size_t j = 0; j < sizes.size(); ++j) {
+      jobs1.push_back(std::make_unique<MultiexpJob<G1>>(b1[j], k1[j].data()));
+      jobs2.push_back(std::make_unique<MultiexpJob<G2>>(b2[j], k2[j].data()));
+    }
+    run_multiexp_jobs({jobs2[6].get(), jobs1[6].get(), jobs2[5].get(), jobs1[5].get(),
+                       jobs2[4].get(), jobs1[4].get(), jobs2[3].get(), jobs1[3].get(),
+                       jobs2[2].get(), jobs1[2].get(), jobs2[1].get(), jobs1[1].get(),
+                       jobs2[0].get(), jobs1[0].get()});
+    for (std::size_t j = 0; j < sizes.size(); ++j) {
+      EXPECT_EQ(jobs1[j]->result(), want1[j]) << "G1 n=" << sizes[j] << " width=" << width;
+      EXPECT_EQ(jobs2[j]->result(), want2[j]) << "G2 n=" << sizes[j] << " width=" << width;
+      EXPECT_EQ(multiexp(p1[j], s1[j]), want1[j]) << "G1 n=" << sizes[j] << " width=" << width;
+    }
+  }
 }
 
 TEST(G1, ToAffineCheckedIsTotal) {

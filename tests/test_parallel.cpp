@@ -4,8 +4,11 @@
 // ZL_THREADS=1 (guaranteed serial fallback) and ZL_THREADS=8.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "common/thread_pool.h"
 #include "crypto/sha256.h"
@@ -67,6 +70,27 @@ TEST(ThreadPool, ExceptionFromChunkPropagatesToCaller) {
   std::atomic<int> ran{0};
   ThreadPool::instance().run(8, [&](std::size_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 8);
+}
+
+// Lowering the width takes effect on the next region even though the wider
+// region before it already spawned more workers: the surplus sit it out.
+TEST(ThreadPool, RegionRunsOnAtMostTheTargetWidth) {
+  ThreadGuard guard;
+  const auto distinct_threads = [](std::size_t chunks) {
+    std::vector<std::thread::id> ids(chunks);
+    ThreadPool::instance().run(chunks, [&](std::size_t c) {
+      ids[c] = std::this_thread::get_id();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    });
+    std::sort(ids.begin(), ids.end());
+    return static_cast<std::size_t>(std::unique(ids.begin(), ids.end()) - ids.begin());
+  };
+  set_num_threads(4);
+  EXPECT_LE(distinct_threads(64), 4u);
+  for (const unsigned width : {2u, 3u, 1u}) {
+    set_num_threads(width);
+    EXPECT_LE(distinct_threads(64), width) << "width=" << width;
+  }
 }
 
 TEST(ThreadPool, SerialFallbackAtOneThread) {
@@ -216,11 +240,11 @@ Bytes digest_proving_key(const snark::ProvingKey& pk) {
   add_g1(pk.delta_g1);
   add_g2(pk.beta_g2);
   add_g2(pk.delta_g2);
-  for (const G1& p : pk.a_query) add_g1(p);
-  for (const G1& p : pk.b_g1_query) add_g1(p);
-  for (const G2& p : pk.b_g2_query) add_g2(p);
-  for (const G1& p : pk.l_query) add_g1(p);
-  for (const G1& p : pk.h_query) add_g1(p);
+  for (const GlvBase<G1>& p : pk.a_query) add_g1(p.point());
+  for (const GlvBase<G1>& p : pk.b_g1_query) add_g1(p.point());
+  for (const GlvBase<G2>& p : pk.b_g2_query) add_g2(p.point());
+  for (const GlvBase<G1>& p : pk.l_query) add_g1(p.point());
+  for (const GlvBase<G1>& p : pk.h_query) add_g1(p.point());
   return Sha256::hash(all);
 }
 

@@ -276,6 +276,19 @@ TEST_F(Groth16Test, UnsatisfyingAssignmentRefusedByProver) {
   EXPECT_THROW(prove(keys_->pk, circuit_->cs, z, *rng_), std::invalid_argument);
 }
 
+// A key set up for another circuit must be refused, not read past its end:
+// here the circuit has one variable more than the key's queries.
+TEST_F(Groth16Test, KeyForAnotherCircuitRefusedByProver) {
+  CubicCircuit bigger;
+  const VarIndex x4 = bigger.cs.allocate_variable();
+  bigger.cs.add_constraint(LinearCombination::variable(bigger.x_cu),
+                           LinearCombination::variable(bigger.x), LinearCombination::variable(x4));
+  auto z = bigger.assignment(3);
+  z[x4] = z[bigger.x_cu] * z[bigger.x];
+  ASSERT_TRUE(bigger.cs.is_satisfied(z));
+  EXPECT_THROW(prove(keys_->pk, bigger.cs, z, *rng_), std::invalid_argument);
+}
+
 TEST_F(Groth16Test, TamperedProofRejected) {
   const auto z = circuit_->assignment(5);
   const Proof proof = prove(keys_->pk, circuit_->cs, z, *rng_);

@@ -18,10 +18,11 @@
 #             to the serial oracle and floods the sim testnet, writing
 #             BENCH_scale.json into the build tree
 #   kernels - the oracle tests pinning the fast arithmetic kernels
-#             (Montgomery squaring, GLV + batch-affine multiexp, blocked
-#             FFT) against their textbook twins: once under ASan, once in
-#             the ZL_CT_CHECK taint build (which adds the GLV secret-scalar
-#             guard deaths and mont_sqr taint propagation)
+#             (Montgomery squaring, GLV + batch-affine multiexp window
+#             tasks, blocked FFT) against their textbook twins, plus the
+#             CPL-AA proof bytes across pool widths: once under ASan, once
+#             in the ZL_CT_CHECK taint build (which adds the GLV
+#             secret-scalar guard deaths and mont_sqr taint propagation)
 #   obs     - the observability gate (DESIGN.md §14): builds a -DZL_OBS=OFF
 #             tree and the normal ON tree, runs test_obs in both (the OFF
 #             run pins the macro compile-out contract), runs test_obs under
@@ -112,23 +113,24 @@ run_store() {
     -R '^(FaultVfs|Wal|SnapshotStore|OffChainStore|DurableChain|Torture|Blockchain)\.' "$@"
 }
 
-# Kernel-engine leg: builds only the six test binaries that carry the
+# Kernel-engine leg: builds only the seven test binaries that carry the
 # kernel-vs-oracle pins (including the ECDSA verifier against its two-ladder
-# oracle and the Keccak known answers) and runs them twice — an ASan pass
-# (memory bugs in the batch-affine scheduler / FFT tiling / wNAF tables) and
-# a ZL_CT_CHECK pass (taint follows mont_sqr; GLV and the ECDSA joint
-# multiplication refuse secret scalars). Reuses the asan/ctcheck
+# oracle, the Keccak known answers, and the CPL-AA proof bytes pinned at
+# pool widths 1-4) and runs them twice — an ASan pass (memory bugs in the
+# batch-affine scheduler / window tasks / FFT tiling / wNAF tables) and a
+# ZL_CT_CHECK pass (taint follows mont_sqr; GLV, the limb split and the
+# ECDSA joint multiplication refuse secret scalars). Reuses the asan/ctcheck
 # build trees, so a later full leg picks up the already-built objects.
 run_kernels() {
-  kernel_filter='^(Fp\.MontSqr|Fp\.PortableOracles|Glv\.|Multiexp\.|Domain\.FftKernel|Groth16\.CubicKeysAndProofBytesGolden|Ecdsa\..*(Oracle|Golden)|Keccak\.|CtDeathTest\.|CtCheckBuild\.)'
+  kernel_filter='^(Fp\.MontSqr|Fp\.PortableOracles|Glv\.|Multiexp\.|Domain\.FftKernel|Groth16\.CubicKeysAndProofBytesGolden|CplAuthTest\.ProofBytesIdenticalAcrossPoolWidths|Ecdsa\..*(Oracle|Golden)|Keccak\.|CtDeathTest\.|CtCheckBuild\.)'
   build_dir="$repo_root/build-asan"
   cmake -S "$repo_root" -B "$build_dir" -G Ninja -DCMAKE_BUILD_TYPE=Release -DZL_SANITIZE=address
-  cmake --build "$build_dir" --target test_field test_ec test_snark test_ct test_pkc test_crypto
+  cmake --build "$build_dir" --target test_field test_ec test_snark test_auth test_ct test_pkc test_crypto
   ASAN_OPTIONS="detect_leaks=1:halt_on_error=1:abort_on_error=1" \
     ctest --test-dir "$build_dir" --output-on-failure -R "$kernel_filter" "$@"
   build_dir="$repo_root/build-ctcheck"
   cmake -S "$repo_root" -B "$build_dir" -G Ninja -DCMAKE_BUILD_TYPE=Release -DZL_CT_CHECK=ON
-  cmake --build "$build_dir" --target test_field test_ec test_snark test_ct test_pkc test_crypto
+  cmake --build "$build_dir" --target test_field test_ec test_snark test_auth test_ct test_pkc test_crypto
   ctest --test-dir "$build_dir" --output-on-failure -R "$kernel_filter" "$@"
 }
 
